@@ -252,14 +252,24 @@ let metric_observe t name v =
 
 (* --- result caching ------------------------------------------------------ *)
 
-let cache_find t f =
+type stamp = (Cache.key * int) option
+
+(* The version is read before the extents: an append landing between the
+   two reads files the entry under the older version, so the next probe
+   replays the append (and drops what it invalidates) instead of hitting
+   a result computed without it. *)
+let cache_stamp t f =
   match t.cache with
   | None -> None
-  | Some c -> (
-      let outcome =
-        Cache.find c (cache_key t f) ~version:(store_version t)
-          ~valid:(entry_valid t f)
-      in
+  | Some _ ->
+      let version = store_version t in
+      Some (cache_key t f, version)
+
+let cache_find t f stamp =
+  match (t.cache, stamp) with
+  | None, _ | _, None -> None
+  | Some c, Some (key, version) -> (
+      let outcome = Cache.find c key ~version ~valid:(entry_valid t f) in
       let note names =
         match t.metrics with
         | None -> ()
@@ -279,9 +289,9 @@ let cache_find t f =
           note [ "cache.misses" ];
           None)
 
-let cache_add t f table =
-  match t.cache with
-  | None -> ()
-  | Some c -> Cache.add c (cache_key t f) ~version:(store_version t) table
+let cache_add t stamp table =
+  match (t.cache, stamp) with
+  | Some c, Some (key, version) -> Cache.add c key ~version table
+  | None, _ | _, None -> ()
 
 let cache_stats t = Option.map Cache.stats t.cache

@@ -232,11 +232,22 @@ val index : t -> Picture.Index.t option
     store-less).  Thread-safe; counts [picture.index.builds] /
     [picture.index.registry_hits] on the context's metrics. *)
 
-val cache_find : t -> Htl.Ast.t -> Simlist.Sim_table.t option
-(** Look up the subformula's table for the current level, extents and
-    store version.  [None] (a recorded miss) when absent or caching is
-    off. *)
+type stamp
+(** A subformula's cache key (formula, level, extent partition) and the
+    store version, read together. *)
 
-val cache_add : t -> Htl.Ast.t -> Simlist.Sim_table.t -> unit
+val cache_stamp : t -> Htl.Ast.t -> stamp
+(** Take the stamp {e before} evaluating the subformula, then probe and
+    insert under it.  Reading the version after evaluating would file a
+    result computed before a concurrent append under the post-append
+    version, where later probes hit it; under the earlier stamp they
+    replay the append and drop what it invalidates. *)
+
+val cache_find : t -> Htl.Ast.t -> stamp -> Simlist.Sim_table.t option
+(** Look up the subformula's table under the stamp's key and version.
+    [None] (a recorded miss) when absent or caching is off. *)
+
+val cache_add : t -> stamp -> Simlist.Sim_table.t -> unit
+(** Insert a table evaluated after the stamp was taken. *)
 
 val cache_stats : t -> Cache.stats option

@@ -189,12 +189,15 @@ let span_attrs (ctx : Context.t) f () =
 (* Every eval goes through the context's subformula cache: the key is the
    hash-consed formula id plus level, extent partition and store version,
    so overlapping queries reuse each other's intermediate tables and any
-   store mutation invalidates (see Engine.Cache).  [eval_raw] recurses
-   back through [eval], memoizing every level of the tree.  A computed
-   (non-cached) node records a span; cache hits record none — EXPLAIN
-   shows them as "cached". *)
+   store mutation invalidates (see Engine.Cache).  The stamp is taken
+   once, before evaluating, so a result racing a mutation is filed under
+   the version it may predate.  [eval_raw] recurses back through [eval],
+   memoizing every level of the tree.  A computed (non-cached) node
+   records a span; cache hits record none — EXPLAIN shows them as
+   "cached". *)
 let rec eval (ctx : Context.t) f =
-  match Context.cache_find ctx f with
+  let stamp = Context.cache_stamp ctx f in
+  match Context.cache_find ctx f stamp with
   | Some table -> table
   | None ->
       let table =
@@ -205,7 +208,7 @@ let rec eval (ctx : Context.t) f =
                 string_of_int (Sim_table.row_count table));
             table)
       in
-      Context.cache_add ctx f table;
+      Context.cache_add ctx stamp table;
       table
 
 (* Independent children of a binary node evaluate concurrently when the

@@ -10,117 +10,105 @@ let ranked_intervals list =
       | c -> c)
     (Sim_list.entries list)
 
-(* Expand intervals to segment ids lazily: the entries of a list are
-   disjoint, so once ranked by (value desc, start asc) the ids of equal
-   value come out ascending by walking intervals in order — the same
-   (value desc, id asc) ranking as materialising every id, in
-   O(m log m + k) instead of O(total frames).  A whole-movie list with a
-   million-frame interval costs k conses, not a million. *)
-let top_k list ~k =
-  if k < 0 then
-    invalid_arg (Printf.sprintf "Topk.top_k: negative k (%d)" k);
-  let max = Sim_list.max_sim list in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (iv, v) :: tl ->
-        let m = min n (Interval.length iv) in
-        List.init m (fun i -> (Interval.lo iv + i, Sim.make ~actual:v ~max))
-        @ take (n - m) tl
-  in
-  take k (ranked_intervals list)
-
-(* K-way merge of per-shard ranked lists: each list's ids shift by its
-   offset into the global numbering, and the shifted entries are pairwise
-   disjoint (shards partition the id space).  A binary heap holding one
-   cursor per list pops entries in (value desc, global start asc) order —
-   for disjoint intervals that is exactly the (value desc, id asc)
-   ranking [top_k] produces on the merged list — so the coordinator
-   materialises k ids, never the full ranked list.  O(m log s + k) for m
-   total entries over s lists. *)
-type cursor = {
-  c_value : float;
-  c_iv : Interval.t; (* already shifted into global ids *)
-  c_rest : (Interval.t * float) list; (* still list-local *)
-  c_off : int;
-}
-
-let merged_top_k parts ~k =
-  if k < 0 then
-    invalid_arg (Printf.sprintf "Topk.merged_top_k: negative k (%d)" k);
+(* Bounded selection over the union of shifted lists.  The entries are
+   pairwise disjoint (within a list by canonical form, across lists
+   because the offsets partition the id space), so every id outside the
+   k best entries by (value desc, start asc) ranks below at least one id
+   — the first — of each of those k entries: the k best ids lie inside
+   the k best entries.  One pass keeps them in a size-k min-heap (root =
+   worst kept entry, held in three parallel arrays so a rejected entry
+   allocates nothing), then the kept entries are sorted and expanded to
+   ids lazily: ids of equal value come out ascending by walking disjoint
+   intervals in start order, the same (value desc, id asc) ranking as
+   materialising every id.  O(m log k + k) for m entries; a whole-movie
+   list with a million-frame interval costs k conses, not a million. *)
+let select ~name parts ~k =
+  if k < 0 then invalid_arg (Printf.sprintf "Topk.%s: negative k (%d)" name k);
   let max =
     match parts with
-    | [] -> invalid_arg "Topk.merged_top_k: no lists"
+    | [] -> invalid_arg (Printf.sprintf "Topk.%s: no lists" name)
     | (l, _) :: rest ->
         let m = Sim_list.max_sim l in
         List.iter
           (fun (l', _) ->
             if Sim_list.max_sim l' <> m then
-              invalid_arg "Topk.merged_top_k: lists disagree on max")
+              invalid_arg
+                (Printf.sprintf "Topk.%s: lists disagree on max" name))
           rest;
         m
   in
-  let dummy =
-    { c_value = 0.; c_iv = Interval.point 1; c_rest = []; c_off = 0 }
+  let cap =
+    min k (List.fold_left (fun n (l, _) -> n + Sim_list.length l) 0 parts)
   in
-  let heap = Array.make (List.length parts) dummy in
+  let vals = Array.make cap 0. and los = Array.make cap 0 in
+  let his = Array.make cap 0 in
   let size = ref 0 in
-  let before a b =
-    match Float.compare a.c_value b.c_value with
-    | 0 -> Interval.lo a.c_iv < Interval.lo b.c_iv
-    | c -> c > 0
+  (* [worse i j]: the entry in slot i ranks below the one in slot j *)
+  let worse i j =
+    vals.(i) < vals.(j) || (vals.(i) = vals.(j) && los.(i) > los.(j))
   in
   let swap i j =
-    let t = heap.(i) in
-    heap.(i) <- heap.(j);
-    heap.(j) <- t
+    let v = vals.(i) and lo = los.(i) and hi = his.(i) in
+    vals.(i) <- vals.(j);
+    los.(i) <- los.(j);
+    his.(i) <- his.(j);
+    vals.(j) <- v;
+    los.(j) <- lo;
+    his.(j) <- hi
   in
   let rec up i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if before heap.(i) heap.(p) then begin
-        swap i p;
-        up p
-      end
+    let p = (i - 1) / 2 in
+    if i > 0 && worse i p then begin
+      swap i p;
+      up p
     end
   in
   let rec down i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < !size && before heap.(l) heap.(!m) then m := l;
-    if r < !size && before heap.(r) heap.(!m) then m := r;
-    if !m <> i then begin
-      swap i !m;
-      down !m
+    let m = if l < !size && worse l i then l else i in
+    let m = if r < !size && worse r m then r else m in
+    if m <> i then begin
+      swap i m;
+      down m
     end
   in
-  let push c =
-    heap.(!size) <- c;
-    incr size;
-    up (!size - 1)
-  in
-  let cursor off = function
-    | [] -> ()
-    | (iv, v) :: rest ->
-        push { c_value = v; c_iv = Interval.shift off iv; c_rest = rest; c_off = off }
-  in
-  List.iter (fun (l, off) -> cursor off (ranked_intervals l)) parts;
-  let rec take n =
-    if n = 0 || !size = 0 then []
-    else begin
-      let c = heap.(0) in
-      decr size;
-      heap.(0) <- heap.(!size);
-      heap.(!size) <- dummy;
-      down 0;
-      cursor c.c_off c.c_rest;
-      let m = min n (Interval.length c.c_iv) in
-      List.init m (fun i ->
-          (Interval.lo c.c_iv + i, Sim.make ~actual:c.c_value ~max))
-      @ take (n - m)
+  let offer off (iv, v) =
+    let lo = Interval.lo iv + off in
+    if !size < cap then begin
+      vals.(!size) <- v;
+      los.(!size) <- lo;
+      his.(!size) <- Interval.hi iv + off;
+      incr size;
+      up (!size - 1)
+    end
+    else if cap > 0 && (v > vals.(0) || (v = vals.(0) && lo < los.(0)))
+    then begin
+      vals.(0) <- v;
+      los.(0) <- lo;
+      his.(0) <- Interval.hi iv + off;
+      down 0
     end
   in
-  take k
+  List.iter (fun (l, off) -> List.iter (offer off) (Sim_list.entries l)) parts;
+  (* heapsort in place: moving the worst kept entry behind the shrinking
+     heap, one slot at a time, leaves the slots ranked best first *)
+  let kept = !size in
+  for last = kept - 1 downto 1 do
+    swap 0 last;
+    size := last;
+    down 0
+  done;
+  let rec take n i =
+    if n = 0 || i = kept then []
+    else
+      let m = min n (his.(i) - los.(i) + 1) in
+      List.init m (fun j -> (los.(i) + j, Sim.make ~actual:vals.(i) ~max))
+      @ take (n - m) (i + 1)
+  in
+  take k 0
+
+let top_k list ~k = select ~name:"top_k" [ (list, 0) ] ~k
+let merged_top_k parts ~k = select ~name:"merged_top_k" parts ~k
 
 let pp_table ?(header = ("Start", "End", "Sim")) ppf list =
   let s, e, v = header in

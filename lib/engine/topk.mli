@@ -8,11 +8,13 @@ val ranked_intervals :
     start — the layout of the paper's Table 4. *)
 
 val top_k : Simlist.Sim_list.t -> k:int -> (int * Simlist.Sim.t) list
-(** The k segment ids with the highest similarity (ties broken by id).
-    Interval entries are expanded lazily — cost is O(entries log entries
-    + k), never O(total segments) — so asking for the top 10 of a
-    whole-movie list is cheap.  [k = 0] yields [[]]; a [k] beyond the
-    population yields every positive-similarity segment.
+(** The k segment ids with the highest similarity (ties broken by id):
+    {!merged_top_k} of the single list at offset 0.  One k-bounded heap
+    pass selects the k best entries and only those are expanded to ids,
+    so the cost is O(m log k + k) for m entries, never O(total
+    segments) — asking for the top 10 of a whole-movie list is cheap.
+    [k = 0] yields [[]]; a [k] beyond the population yields every
+    positive-similarity segment.
     @raise Invalid_argument when [k] is negative. *)
 
 val merged_top_k :
@@ -22,10 +24,10 @@ val merged_top_k :
     [offi] into a global numbering — the coordinator step of
     scatter–gather evaluation over sharded stores.  The shifted entries
     must be pairwise disjoint across lists (shards partition the id
-    space) and every list must carry the same maximum.  A k-way binary
-    heap pops entries in (value desc, global id asc) order, so the
-    result equals [top_k] of the fully merged list without ever
-    materialising it: O(m log s + k) for m total entries over s lists.
+    space) and every list must carry the same maximum.  The result
+    equals {!top_k} of the merged list without ever materialising it;
+    the one implementation behind both, O(m log k + k) for m total
+    entries.
     @raise Invalid_argument when [k] is negative, the list of lists is
     empty, or the maxima disagree. *)
 

@@ -25,9 +25,11 @@ let span_attrs (ctx : Context.t) f () =
 (* Memoized like Direct.eval: a type (1) result is a similarity list,
    cached as its closed one-row table so the cache is shared with the
    table algorithms (a type (1) subformula of a type (2) query hits the
-   same entry).  Computed nodes record spans the same way Direct does. *)
+   same entry).  Computed nodes record spans, and the stamp is taken
+   before evaluating, the same way Direct does. *)
 let rec eval (ctx : Context.t) f =
-  match Context.cache_find ctx f with
+  let stamp = Context.cache_stamp ctx f in
+  match Context.cache_find ctx f stamp with
   | Some table -> Sim_table.project_exists table
   | None ->
       let list =
@@ -38,7 +40,7 @@ let rec eval (ctx : Context.t) f =
                 string_of_int (Sim_list.length list));
             list)
       in
-      Context.cache_add ctx f (Sim_table.of_sim_list list);
+      Context.cache_add ctx stamp (Sim_table.of_sim_list list);
       list
 
 (* Children of a binary node are independent — evaluate both sides

@@ -273,12 +273,11 @@ let sharded_result_json sh req f =
         ("plan", Json.String (Sharded.explain ~backend:req.backend sh f));
       ]
   else
-    let list = Sharded.run ~backend:req.backend sh f in
-    let top = Engine.Topk.top_k list ~k:req.k in
+    let count, top = Sharded.top_k ~backend:req.backend sh ~k:req.k f in
     Json.Obj
       [
         ("class", Json.String (Htl.Classify.cls_to_string cls));
-        ("count", Json.Int (Simlist.Sim_list.length list));
+        ("count", Json.Int count);
         ("results", results_to_json top);
       ]
 
@@ -328,7 +327,9 @@ let run_query state req =
 
 (* Batch: queries are independent; a parse failure occupies its error
    slot without touching its neighbours, and evaluation failures come
-   back as [Error msg] from run_batch itself. *)
+   back as [Error msg] from run_batch itself.  Each slot answers
+   (count, top k): the sharded arm gathers them without a merged list,
+   as /query does. *)
 let run_batch state req_json =
   let ( let* ) = Result.bind in
   let parsed =
@@ -350,18 +351,21 @@ let run_batch state req_json =
       match state.sharded with
       | Some sh ->
           let* sh = sharded_for_level sh level in
-          Ok (fun backend formulas -> Sharded.run_batch ~backend sh formulas)
+          Ok (fun backend formulas -> Sharded.run_batch ~backend sh ~k formulas)
       | None ->
           let* ctx = ctx_for_level state.ctx level in
           Ok
             (fun backend formulas ->
-              Engine.Query.run_batch ~backend ctx formulas)
+              List.map
+                (Result.map (fun list ->
+                     (Simlist.Sim_list.length list, Engine.Topk.top_k list ~k)))
+                (Engine.Query.run_batch ~backend ctx formulas))
     in
-    Ok (k, backend, queries, eval)
+    Ok (backend, queries, eval)
   in
   match parsed with
   | Error msg -> error_response ~status:400 msg
-  | Ok (k, backend, queries, eval) ->
+  | Ok (backend, queries, eval) ->
       let slots =
         List.map
           (fun q ->
@@ -380,15 +384,15 @@ let run_batch state req_json =
             Json.Obj [ ("error", Json.String msg) ] :: stitch slots outcomes
         | Ok f :: slots, outcome :: outcomes ->
             (match outcome with
-            | Ok list ->
+            | Ok (count, top) ->
                 Json.Obj
                   [
                     ( "class",
                       Json.String
                         (Htl.Classify.cls_to_string (Htl.Classify.classify f))
                     );
-                    ("count", Json.Int (Simlist.Sim_list.length list));
-                    ("results", results_to_json (Engine.Topk.top_k list ~k));
+                    ("count", Json.Int count);
+                    ("results", results_to_json top);
                   ]
             | Error msg -> Json.Obj [ ("error", Json.String msg) ])
             :: stitch slots outcomes

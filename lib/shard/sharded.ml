@@ -4,7 +4,6 @@ module Context = Engine.Context
 module Query = Engine.Query
 module Cache = Engine.Cache
 module Sim_list = Simlist.Sim_list
-module Interval = Simlist.Interval
 
 type t = {
   shards : Context.t array;  (* in partition order; every ctx store-backed *)
@@ -191,22 +190,25 @@ let shared_max parts =
         rest;
       m
 
-(* Gather for [run]: shift every shard's entries into the global
-   numbering and re-canonicalise.  [of_entries] coalesces adjacent
-   equal-valued intervals across shard boundaries, so the result is
-   byte-equal to evaluating the unsharded store. *)
-let merge t parts =
-  let max = shared_max parts in
-  let entries =
-    List.concat
-      (List.mapi
-         (fun i (l, _) ->
-           List.map
-             (fun (iv, v) -> (Interval.shift t.offsets.(i) iv, v))
-             (Sim_list.entries l))
-         parts)
-  in
-  Sim_list.of_entries ~max entries
+(* Every shard's list paired with its global-id offset, once the shards
+   are known to agree on the maximum.  Shard-ordered shifted lists are
+   sorted, disjoint, positive and within the maximum already, so both
+   gathers below only look at the s-1 shard boundaries, where
+   equal-valued entries abutting across shards coalesce (as
+   [Sim_list.of_entries] would) — which keeps them byte-equal to
+   evaluating the unsharded store. *)
+let shifted t parts =
+  ignore (shared_max parts);
+  List.mapi (fun i (l, _) -> (l, t.offsets.(i))) parts
+
+(* Gather for [run]: the merged list itself. *)
+let merge t parts = Sim_list.concat (shifted t parts)
+
+(* Gather for [top_k]: the merged list's length and its k best ids,
+   straight from the per-shard lists — no merged list is built. *)
+let count_top t ~k parts =
+  let parts = shifted t parts in
+  (Sim_list.concat_length parts, Engine.Topk.merged_top_k parts ~k)
 
 let note_scatter t ~merge_s parts =
   match t.metrics with
@@ -263,7 +265,7 @@ let backend_name = function
    classify once, scatter, time the gather via [consume], and record the
    one-per-query metrics and the slow-log entry (with per-shard
    latencies in the [shards] field).  [consume] is either the full merge
-   ([run]) or the lazy top-k heap merge ([top_k]). *)
+   ([run]) or the count and bounded top-k selection ([top_k]). *)
 let run_core ~backend t f consume =
   let gathered parts =
     let t0 = Obs.Clock.now () in
@@ -382,17 +384,13 @@ let parse src =
 
 let run_string ?backend t src = run ?backend t (parse src)
 
-let top_k ?(backend = Query.Direct_backend) t ~k src =
-  let f = parse src in
-  run_core ~backend t f (fun parts ->
-      Engine.Topk.merged_top_k
-        (List.mapi (fun i (l, _) -> (l, t.offsets.(i))) parts)
-        ~k)
+let top_k ?(backend = Query.Direct_backend) t ~k f =
+  run_core ~backend t f (count_top t ~k)
 
-let run_batch ?(backend = Query.Direct_backend) t fs =
+let run_batch ?(backend = Query.Direct_backend) t ~k fs =
   let one f =
-    match run ~backend t f with
-    | list -> Result.Ok list
+    match top_k ~backend t ~k f with
+    | r -> Result.Ok r
     | exception Query.Error msg -> Result.Error msg
   in
   match t.pool with
@@ -435,14 +433,15 @@ let explain ?(backend = Query.Direct_backend) ?(analyze = false) t f =
       let t0 = Obs.Clock.now () in
       let merged = merge t parts in
       Format.fprintf ppf
-        "  merge: %d entries, %.6fs (Sim_list.of_entries over shifted \
-         shard entries)@."
+        "  merge: %d entries, %.6fs (Sim_list.concat: shifted shard lists, \
+         coalesced at shard boundaries)@."
         (Sim_list.length merged)
         (Obs.Clock.now () -. t0)
   | None ->
       Format.fprintf ppf
-        "  merge: shift by shard offset, re-canonicalise (top-k via \
-         Topk.merged_top_k)@.");
+        "  merge: shift by shard offset, coalesce at shard boundaries \
+         (/query: count by boundary walk, top-k via Topk.merged_top_k, \
+         no merged list)@.");
   Format.fprintf ppf "shard 0 plan:@.%a@." Engine.Explain.pp
     (Query.explain ~backend ~analyze t.shards.(0) f);
   Format.pp_print_flush ppf ();

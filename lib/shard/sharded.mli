@@ -11,11 +11,17 @@
 
     A query scatters over the shards (on the {!Parallel.Pool} when one
     is attached), evaluates each shard independently, and gathers the
-    per-shard similarity lists at a coordinator: {!run} shifts and
-    re-canonicalises entries into one {!Simlist.Sim_list.t} byte-equal
-    to the unsharded evaluation, {!top_k} feeds the per-shard lists
-    through {!Engine.Topk.merged_top_k} so the full ranked list is never
-    materialised.
+    per-shard similarity lists at a coordinator.  Shifted by their
+    offsets, the shard lists are already sorted and disjoint, so the
+    gather only looks at the shard boundaries, where equal-valued
+    entries abutting across shards coalesce
+    ({!Simlist.Sim_list.concat}).  {!run} builds that merged list,
+    byte-equal to the unsharded evaluation — the CLI, EXPLAIN ANALYZE
+    and the differential tests use it.  {!top_k} and {!run_batch},
+    which answer the server's [/query] and [/batch], never materialise
+    it: the count comes from the same boundary walk and the k best ids
+    from one k-bounded selection over the shard lists
+    ({!Engine.Topk.merged_top_k}).
 
     The payoff on mutation-heavy workloads is partition-isolated
     invalidation: a store edit bumps only the owning shard's version, so
@@ -89,8 +95,8 @@ val for_request : ?tracer:Obs.Trace.t -> ?trace_id:string -> t -> t
 val run :
   ?backend:Engine.Query.backend -> t -> Htl.Ast.t -> Simlist.Sim_list.t
 (** Evaluate on every shard, shift each shard's entries by its offset
-    and re-canonicalise — byte-equal to {!Engine.Query.run} over the
-    unsharded store.  With metrics attached, counts [query.count] once
+    and coalesce at the shard boundaries — byte-equal to
+    {!Engine.Query.run} over the unsharded store.  With metrics attached, counts [query.count] once
     (not per shard) plus [shard.queries]/[shard.merge_s]/
     [shard.imbalance]; with a querylog, slow queries record per-shard
     latencies in the [shards] field. *)
@@ -102,30 +108,38 @@ val top_k :
   ?backend:Engine.Query.backend ->
   t ->
   k:int ->
-  string ->
-  (int * Simlist.Sim.t) list
-(** Parse, scatter, and gather through {!Engine.Topk.merged_top_k}: the
-    coordinator pops the k best global ids off a heap of per-shard
-    cursors without materialising the merged list. *)
+  Htl.Ast.t ->
+  int * (int * Simlist.Sim.t) list
+(** [(count, top)]: the entry count of {!run}'s merged list and its k
+    best segments — equal to [(Sim_list.length l, Engine.Topk.top_k l
+    ~k)] for [l = run t f] — without building the merged list.  The
+    count is the sum of the shard lengths minus one per coalescing shard
+    boundary, and the ids come from {!Engine.Topk.merged_top_k} over the
+    shard lists: O(m log k + k) for m entries, where {!run} allocates
+    the whole merged list.  Same query envelope as {!run}: metrics
+    ([shard.merge_s] times this gather), slow log, stats.
+    @raise Invalid_argument when [k] is negative. *)
 
 val run_batch :
   ?backend:Engine.Query.backend ->
   t ->
+  k:int ->
   Htl.Ast.t list ->
-  (Simlist.Sim_list.t, string) result list
-(** Each slot goes through the scatter–gather path independently; a slot
-    that fails (on any shard) yields [Error msg] without poisoning
-    sibling slots.  Slots fan out across the pool when one is
-    attached. *)
+  (int * (int * Simlist.Sim.t) list, string) result list
+(** {!top_k} per slot: each slot goes through the scatter–gather path
+    independently; a slot that fails (on any shard) yields [Error msg]
+    without poisoning sibling slots.  Slots fan out across the pool when
+    one is attached. *)
 
 val explain :
   ?backend:Engine.Query.backend -> ?analyze:bool -> t -> Htl.Ast.t -> string
 (** The scatter–gather plan: one row per shard (videos, segments,
     global-id offset) and the coordinator merge.  With [~analyze:true]
     the query actually runs and every shard row carries its wall time
-    and result entry count — skewed shards are visible at a glance — and
-    the representative per-shard evaluation tree (shard 0, via
-    {!Engine.Query.explain}) is appended. *)
+    and result entry count — skewed shards are visible at a glance — the
+    merge line times {!run}'s gather, and the representative per-shard
+    evaluation tree (shard 0, via {!Engine.Query.explain}) is
+    appended. *)
 
 (** {1 Mutation routing}
 

@@ -316,13 +316,13 @@ let eventually ~extents t =
   in
   of_entries ~max:t.max (List.concat_map per_extent groups)
 
-let check_same_max = function
-  | [] -> invalid_arg "Sim_list.merge_max: empty"
+let check_same_max ?(fn = "merge_max") = function
+  | [] -> invalid_arg (Printf.sprintf "Sim_list.%s: empty" fn)
   | first :: rest ->
       List.iter
         (fun l ->
           if l.max <> first.max then
-            invalid_arg "Sim_list.merge_max: differing maxima")
+            invalid_arg (Printf.sprintf "Sim_list.%s: differing maxima" fn))
         rest;
       first.max
 
@@ -355,6 +355,66 @@ let restrict t spans =
 
 let scale_max t ~max =
   of_entries ~max (List.map (fun (iv, v) -> (iv, v)) t.entries)
+
+(* --- concatenating shifted lists -------------------------------------- *)
+
+let concat_max parts = check_same_max ~fn:"concat" (List.map fst parts)
+
+let shift_entry off (iv, v) = (Interval.shift off iv, v)
+
+(* [prev] ends an earlier list and [next] starts the following non-empty
+   one, both shifted: they must be in order and disjoint, and coalesce
+   when they abut with equal values.  The only check [concat] needs —
+   inside each list the entries are canonical already. *)
+let joins (piv, pv) (niv, nv) =
+  if Interval.hi piv >= Interval.lo niv then
+    invalid_arg
+      (Printf.sprintf "Sim_list.concat: %s does not precede %s"
+         (Interval.to_string piv) (Interval.to_string niv));
+  pv = nv && Interval.adjacent piv niv
+
+let concat parts =
+  let max = concat_max parts in
+  (* built right to left, so [rest] starts with the first entry of the
+     next non-empty list: a list's last entry is the one place a
+     boundary can coalesce *)
+  let[@tail_mod_cons] rec onto off entries rest =
+    match entries with
+    | [] -> rest
+    | [ e ] -> (
+        let ((iv, v) as e) = shift_entry off e in
+        match rest with
+        | ((niv, _) as next) :: rest_tl when joins e next ->
+            (Interval.make (Interval.lo iv) (Interval.hi niv), v) :: rest_tl
+        | _ -> e :: rest)
+    | e :: tl -> shift_entry off e :: onto off tl rest
+  in
+  {
+    max;
+    entries =
+      List.fold_right (fun (l, off) rest -> onto off l.entries rest) parts [];
+  }
+
+let concat_length parts =
+  ignore (concat_max parts);
+  let rec length_last n last = function
+    | [] -> (n, last)
+    | e :: tl -> length_last (n + 1) e tl
+  in
+  fst
+    (List.fold_left
+       (fun (n, prev) (l, off) ->
+         match l.entries with
+         | [] -> (n, prev)
+         | first :: tl ->
+             let len, last = length_last 1 first tl in
+             let joined =
+               match prev with
+               | Some p -> joins p (shift_entry off first)
+               | None -> false
+             in
+             (n + len - Bool.to_int joined, Some (shift_entry off last)))
+       (0, None) parts)
 
 let to_dense ~n t =
   let a = Array.make n 0. in

@@ -107,6 +107,30 @@ val scale_max : t -> max:float -> t
     @raise Invalid_argument if any actual value would exceed the new
     maximum. *)
 
+(** {1 Concatenating shifted lists}
+
+    The gather step of sharded evaluation: shard [i]'s list holds ids
+    local to the shard, and adding its offset [offi] moves them into
+    one global numbering.  The shifted lists are already sorted,
+    disjoint, positive and within the shared maximum, so only the
+    boundaries between consecutive non-empty lists need a look: the last
+    entry of one and the first of the next must not overlap, and
+    coalesce when they abut with equal values — exactly what
+    {!of_entries} would do to their concatenation. *)
+
+val concat : (t * int) list -> t
+(** [concat [(l0, off0); (l1, off1); ...]]: every list's entries shifted
+    by its offset, in list order, as one canonical list — equal to
+    {!of_entries} of the shifted entries.  O(m) for m entries.
+    @raise Invalid_argument on an empty list of lists, differing maxima,
+    or shifted lists that overlap or come out of order. *)
+
+val concat_length : (t * int) list -> int
+(** [length (concat parts)] by the same boundary walk, without building
+    the list: the sum of the lengths minus one per coalescing boundary.
+    O(m) pointer walk, no allocation per entry.
+    @raise Invalid_argument as {!concat}. *)
+
 (** {1 Dense conversions (testing and the reference evaluator)} *)
 
 val to_dense : n:int -> t -> float array

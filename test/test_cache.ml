@@ -379,6 +379,33 @@ let survival_tests =
         check sim_list "recomputed over the appended leaf"
           (fresh_eval_at s ~level:1 q) after;
         check bool "descending entries dropped" true (Cache.stale_drops c > 0));
+    test_case "a result racing an append is filed under the older version"
+      `Quick (fun () ->
+        let s = small_store () in
+        let ctx = Context.of_store ~level:1 s in
+        let q = "at next level (eventually (" ^ q_train ^ "))" in
+        let f = parse q in
+        (* the race, replayed in order: the evaluation takes its stamp
+           and computes over the old store, an append lands, then the
+           result is inserted *)
+        let stamp = Context.cache_stamp ctx f in
+        let before = Query.run (Context.without_cache ctx) f in
+        Store.append_segments s [ meta_with ~objects:[ train ~id:9 ] () ];
+        Context.cache_add ctx stamp (Sim_table.of_sim_list before);
+        let c =
+          match Context.cache ctx with
+          | Some c -> c
+          | None -> Alcotest.fail "no cache"
+        in
+        check bool "the next probe misses" true
+          (Option.is_none
+             (Context.cache_find ctx f (Context.cache_stamp ctx f)));
+        check int "dropped as stale" 1 (Cache.stale_drops c);
+        let after = Query.run ctx f in
+        check sim_list "re-run equals a from-scratch store"
+          (fresh_eval_at s ~level:1 q) after;
+        check bool "the append changed the answer" false
+          (Sim_list.equal before after));
     test_case "edits at the leaf keep upper-level entries warm" `Quick
       (fun () ->
         let s = small_store () in

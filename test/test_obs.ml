@@ -191,6 +191,47 @@ let arb_entries_and_k =
   in
   make ~print gen
 
+(* Heavy ties: up to 24 entries over two values, often adjacent (equal
+   neighbours coalesce), so the bounded heap keeps and rejects entries
+   of equal value all the time and only the start breaks the tie. *)
+let arb_tied_entries =
+  let open QCheck in
+  let gen =
+    Gen.(
+      list_size (int_bound 24)
+        (triple (int_bound 2) (int_range 1 3) (int_range 1 2))
+      >|= fun pieces ->
+      let _, entries =
+        List.fold_left
+          (fun (pos, acc) (gap, len, v) ->
+            let lo = pos + gap + 1 in
+            let hi = lo + len - 1 in
+            (hi, (Interval.make lo hi, float_of_int v) :: acc))
+          (0, []) pieces
+      in
+      List.rev entries)
+  in
+  let print entries =
+    String.concat ";"
+      (List.map
+         (fun (iv, v) ->
+           Printf.sprintf "[%d-%d]=%.0f" (Interval.lo iv) (Interval.hi iv) v)
+         entries)
+  in
+  make ~print gen
+
+(* k at the edges of the entry count m, where the heap's capacity
+   (min k m) and the id expansion meet *)
+let edge_ks m =
+  List.filter (fun k -> k >= 0) [ 0; 1; m - 1; m; m + 5; 10 * m ]
+
+let same_ranking fast slow =
+  List.length fast = List.length slow
+  && List.for_all2
+       (fun (id1, s1) (id2, s2) ->
+         id1 = id2 && Float.abs (Sim.actual s1 -. Sim.actual s2) < 1e-12)
+       fast slow
+
 let topk_tests =
   let open Alcotest in
   [
@@ -219,14 +260,15 @@ let topk_tests =
     Helpers.qtest ~count:300 "top_k = naive top_k"
       (fun (entries, k) ->
         let list = Sim_list.of_entries ~max:2. entries in
-        let fast = Topk.top_k list ~k and slow = naive_top_k list ~k in
-        if List.length fast <> List.length slow then false
-        else
-          List.for_all2
-            (fun (id1, s1) (id2, s2) ->
-              id1 = id2 && Float.abs (Sim.actual s1 -. Sim.actual s2) < 1e-12)
-            fast slow)
+        same_ranking (Topk.top_k list ~k) (naive_top_k list ~k))
       arb_entries_and_k;
+    Helpers.qtest ~count:300 "top_k = naive top_k (heavy ties, edge k)"
+      (fun entries ->
+        let list = Sim_list.of_entries ~max:2. entries in
+        List.for_all
+          (fun k -> same_ranking (Topk.top_k list ~k) (naive_top_k list ~k))
+          (edge_ks (Sim_list.length list)))
+      arb_tied_entries;
     Helpers.qtest ~count:300 "top_k k is a prefix of top_k (k+1)"
       (fun (entries, k) ->
         let list = Sim_list.of_entries ~max:2. entries in

@@ -90,7 +90,15 @@ let sharded_differential ?videos (seed, f) =
 
 let sharded_store_prop ?videos (seed, f) = sharded_differential ?videos (seed, f)
 
-(* --- merged_top_k against the materialising oracle ------------------------ *)
+(* --- gathers against the materialising oracle ------------------------------ *)
+
+let print_parts (parts, k) =
+  Format.asprintf "k=%d parts=[%s]" k
+    (String.concat "; "
+       (List.map
+          (fun p ->
+            String.concat "," (List.map string_of_float (Array.to_list p)))
+          parts))
 
 let arb_shard_parts =
   let open QCheck.Gen in
@@ -105,18 +113,43 @@ let arb_shard_parts =
     let total = List.fold_left (fun a p -> a + Array.length p) 0 parts in
     int_range 0 (total + 3) >|= fun k -> (parts, k)
   in
-  let print (parts, k) =
-    Format.asprintf "k=%d parts=[%s]" k
-      (String.concat "; "
-         (List.map
-            (fun p ->
-              String.concat ","
-                (List.map string_of_float (Array.to_list p)))
-            parts))
-  in
-  QCheck.make ~print gen
+  QCheck.make ~print:print_parts gen
 
-let merged_top_k_prop (parts, k) =
+(* Shard boundaries where the value carries straight across: every
+   shard after the first starts with the value the previous one ended
+   on (non-zero), from a three-value alphabet so runs and ties abound —
+   the case where the merged list coalesces and the count needs its
+   boundary correction. *)
+let arb_abutting_parts =
+  let open QCheck.Gen in
+  let value = oneofl [ 0.25; 0.5; 1. ] in
+  let gen =
+    int_range 2 5 >>= fun shards ->
+    list_repeat shards
+      (int_range 1 8 >>= fun n ->
+       list_repeat n (frequency [ (1, pure 0.); (4, value) ]) >|= Array.of_list)
+    >>= fun parts ->
+    let rec carry prev = function
+      | [] -> []
+      | p :: rest ->
+          let p = Array.copy p in
+          let last = Array.length p - 1 in
+          (match prev with
+          | Some v -> p.(0) <- v
+          | None -> ());
+          if p.(last) = 0. then p.(last) <- 0.5;
+          p :: carry (Some p.(last)) rest
+    in
+    let parts = carry None parts in
+    let total = List.fold_left (fun a p -> a + Array.length p) 0 parts in
+    int_range 0 (total + 3) >|= fun k -> (parts, k)
+  in
+  QCheck.make ~print:print_parts gen
+
+(* The gathers over shifted per-shard lists — [Sim_list.concat],
+   [Sim_list.concat_length] and [Topk.merged_top_k] — against the list
+   materialised from the concatenated dense arrays. *)
+let gather_prop (parts, k) =
   let lists = List.map (Sim_list.of_dense ~max:1.) parts in
   let offsets =
     List.rev
@@ -125,12 +158,10 @@ let merged_top_k_prop (parts, k) =
             (fun (off, acc) p -> (off + Array.length p, off :: acc))
             (0, []) parts))
   in
-  let merged =
-    Engine.Topk.merged_top_k (List.combine lists offsets) ~k
-  in
-  let oracle =
-    Engine.Topk.top_k (Sim_list.of_dense ~max:1. (Array.concat parts)) ~k
-  in
+  let shifted = List.combine lists offsets in
+  let whole = Sim_list.of_dense ~max:1. (Array.concat parts) in
+  let merged = Engine.Topk.merged_top_k shifted ~k in
+  let oracle = Engine.Topk.top_k whole ~k in
   let show l =
     String.concat "; "
       (List.map
@@ -147,6 +178,60 @@ let merged_top_k_prop (parts, k) =
   then
     QCheck.Test.fail_reportf "merged [%s] <> oracle [%s]" (show merged)
       (show oracle);
+  if not (Sim_list.equal (Sim_list.concat shifted) whole) then
+    QCheck.Test.fail_reportf "concat %a <> oracle %a" Sim_list.pp
+      (Sim_list.concat shifted) Sim_list.pp whole;
+  if Sim_list.concat_length shifted <> Sim_list.length whole then
+    QCheck.Test.fail_reportf "concat_length %d <> oracle length %d"
+      (Sim_list.concat_length shifted)
+      (Sim_list.length whole);
+  true
+
+(* --- Sharded.top_k = length and top_k of the merged list ------------------- *)
+
+let top_k_ks = [ 0; 1; 7; 1000 ]
+
+(* [(count, top)] from the list-free gather against both the merged list
+   of [Sharded.run] and the unsharded [Query.run], for every shard count,
+   backend and k; both arms must also agree on refusing a formula. *)
+let sharded_top_k_prop (seed, f) =
+  let store = store_of_seed seed in
+  let outcome g =
+    match g () with r -> Ok r | exception Query.Error msg -> Error msg
+  in
+  let expect k l = (Sim_list.length l, Topk.top_k l ~k) in
+  List.iter
+    (fun (bname, backend) ->
+      let plain =
+        outcome (fun () ->
+            Query.run ~backend
+              (Context.without_cache (Context.of_store store))
+              f)
+      in
+      List.iter
+        (fun shards ->
+          let sh = Sharded.create ~shards store in
+          List.iter
+            (fun k ->
+              let got = outcome (fun () -> Sharded.top_k ~backend sh ~k f) in
+              let merged = outcome (fun () -> Sharded.run ~backend sh f) in
+              match (got, merged, plain) with
+              | Ok g, Ok m, Ok p ->
+                  if g <> expect k m || g <> expect k p then
+                    QCheck.Test.fail_reportf
+                      "%d-shard (%s) top %d of %s: count %d vs merged %d / \
+                       unsharded %d"
+                      shards bname k
+                      (Htl.Pretty.to_string f)
+                      (fst g) (Sim_list.length m) (Sim_list.length p)
+              | Error _, Error _, Error _ -> ()
+              | _ ->
+                  QCheck.Test.fail_reportf
+                    "%d-shard (%s) outcome classes differ on %s" shards bname
+                    (Htl.Pretty.to_string f))
+            top_k_ks)
+        [ 1; 2; 4 ])
+    [ ("direct", Query.Direct_backend); ("sql", Query.Sql_backend_choice) ];
   true
 
 (* --- unit: partitioning, routing, batches, explain ------------------------ *)
@@ -192,11 +277,31 @@ let unit_tests =
         List.iter
           (fun k ->
             let plain = Query.top_k ctx ~k q_train in
-            let sharded = Sharded.top_k sh ~k q_train in
+            let count, sharded = Sharded.top_k sh ~k (parse q_train) in
             check bool
               (Printf.sprintf "top %d agrees" k)
-              true (plain = sharded))
+              true (plain = sharded);
+            check int "count is the merged length"
+              (Sim_list.length (Query.run_string ctx q_train))
+              count)
           [ 0; 1; 5; 1000 ]);
+    test_case "count coalesces values abutting across every shard" `Quick
+      (fun () ->
+        (* [true] scores 1 on every segment: one entry per extent
+           unsharded, so each shard boundary inside the corpus must be
+           subtracted from the per-shard lengths *)
+        let store = store_of_seed 19 in
+        let f = Htl.Ast.Atom Htl.Ast.True in
+        let plain = Query.run (Context.of_store store) f in
+        List.iter
+          (fun shards ->
+            let sh = Sharded.create ~shards store in
+            let count, top = Sharded.top_k sh ~k:3 f in
+            check int
+              (Printf.sprintf "%d-shard count" shards)
+              (Sim_list.length plain) count;
+            check (list int) "top ids" [ 1; 2; 3 ] (List.map fst top))
+          [ 2; 4; 8 ]);
     test_case "with_level matches unsharded at every level" `Quick (fun () ->
         let store = store_of_seed 17 in
         let sh = Sharded.create ~shards:3 store in
@@ -252,16 +357,16 @@ let unit_tests =
           (* general class: Classify.check rejects negation *)
           Htl.Ast.Not (Htl.Ast.Exists ("x", Htl.Ast.Atom (Htl.Ast.Present "x")))
         in
-        match Sharded.run_batch sh [ good; bad; good ] with
+        match Sharded.run_batch sh ~k:5 [ good; bad; good ] with
         | [ Ok a; Error msg; Ok b ] ->
-            check bool "good slots agree" true (Sim_list.equal a b);
+            check bool "good slots agree" true (a = b);
             check bool "error names the rejection" true
               (Astring.String.is_infix ~affix:"negation" msg);
             let plain =
               Query.run (Context.of_store store) good
             in
             check bool "good slot equals unsharded" true
-              (Sim_list.equal a plain)
+              (a = (Sim_list.length plain, Topk.top_k plain ~k:5))
         | rs -> Alcotest.failf "expected [Ok; Error; Ok], got %d slots"
                   (List.length rs));
     test_case "sharded query counts once, not per shard" `Quick (fun () ->
@@ -588,7 +693,22 @@ let suites =
           sharded_store_prop
           (Helpers.arb_store_formula Helpers.gen_closed_formula);
         Helpers.qtest ~count:200 "merged_top_k = top_k of the merged list"
-          merged_top_k_prop arb_shard_parts;
+          gather_prop arb_shard_parts;
+        Helpers.qtest ~count:300
+          "gathers coalesce values abutting across shards" gather_prop
+          arb_abutting_parts;
+        Helpers.qtest ~count:15 "sharded top_k (type 1) = length, top_k of run"
+          sharded_top_k_prop
+          (Helpers.arb_store_formula Helpers.gen_type1_formula);
+        Helpers.qtest ~count:15 "sharded top_k (type 2) = length, top_k of run"
+          sharded_top_k_prop
+          (Helpers.arb_store_formula Helpers.gen_type2_formula);
+        Helpers.qtest ~count:15 "sharded top_k (conjunctive) = length, top_k of run"
+          sharded_top_k_prop
+          (Helpers.arb_store_formula Helpers.gen_conjunctive_formula);
+        Helpers.qtest ~count:15 "sharded top_k (mixed) = length, top_k of run"
+          sharded_top_k_prop
+          (Helpers.arb_store_formula Helpers.gen_closed_formula);
       ] );
     ( "shard.snapshot",
       snapshot_tests
