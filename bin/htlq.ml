@@ -75,6 +75,36 @@ let make_context dataset seed level threshold =
       in
       Engine.Context.of_tables ~threshold ~n tables
 
+(* The one evaluation handle every command answers through: a
+   snapshot, an N-shard partition of a store-backed dataset, or — for
+   everything else — a one-shard wrap of the dataset's context, which
+   shares its store rather than copying it. *)
+let open_handle (dataset, seed, level, threshold, shards, snapshot) ?config
+    ?pool ?metrics ?querylog ?stats () =
+  match snapshot with
+  | Some path ->
+      Sharded.load_snapshot ?config ~threshold ?level ?pool ?metrics ?querylog
+        ?stats path
+  | None when shards > 1 -> (
+      match store_of_dataset dataset with
+      | Some store ->
+          Sharded.create ~shards ?config ~threshold ?level ?pool ?metrics
+            ?querylog ?stats store
+      | None -> failwith store_required)
+  | None ->
+      let attach with_ opt ctx =
+        match opt with Some x -> with_ ctx x | None -> ctx
+      in
+      make_context dataset seed level threshold
+      |> attach
+           (fun ctx config -> { ctx with Engine.Context.picture_config = config })
+           config
+      |> attach (fun ctx p -> Engine.Context.with_pool ctx p) pool
+      |> attach Engine.Context.with_metrics metrics
+      |> attach Engine.Context.with_querylog querylog
+      |> attach Engine.Context.with_stats stats
+      |> Sharded.of_context
+
 (* Diagnostics requested with --trace / --metrics, flushed to stderr
    after the query so stdout carries results only. *)
 let emit_diagnostics tracer metrics =
@@ -98,8 +128,18 @@ let emit_exports ~prom ~trace_out tracer registry querylog =
   | _ -> ());
   Option.iter (fun ql -> prerr_string (Obs.Querylog.to_jsonl ql)) querylog
 
-let run (dataset, seed, level, threshold, shards, snapshot) backend query top
-    classify_only explain trace metrics prom trace_out slow_ms no_index =
+let print_result cls top result =
+  Format.printf "formula class: %s@." (Htl.Classify.cls_to_string cls);
+  Format.printf "@.%a@." (Engine.Topk.pp_table ?header:None) result;
+  Format.printf "@.top %d segments:@." top;
+  List.iter
+    (fun (id, sim) ->
+      Format.printf "  segment %d: %.4f (fraction %.3f)@." id
+        (Simlist.Sim.actual sim) (Simlist.Sim.fraction sim))
+    (Engine.Topk.top_k result ~k:top)
+
+let run args backend query top classify_only explain trace metrics prom
+    trace_out slow_ms no_index =
   match Htl.Parser.formula_of_string_opt query with
   | Error msg ->
       Format.eprintf "syntax error: %s@." msg;
@@ -111,18 +151,11 @@ let run (dataset, seed, level, threshold, shards, snapshot) backend query top
         exit_ok
       end
       else
-        match
-          match backend with
-          | "direct" -> Some Engine.Query.Direct_backend
-          | "sql" -> Some Engine.Query.Sql_backend_choice
-          | "auto" -> Some Engine.Query.Auto_backend
-          | _ -> None
-        with
-        | None ->
-            Format.eprintf "unknown backend %S (use direct, sql or auto)@."
-              backend;
+        match Engine.Query.backend_of_name backend with
+        | Error msg ->
+            Format.eprintf "%s@." msg;
             exit_usage
-        | Some backend -> (
+        | Ok backend -> (
             let tracer =
               if trace || Option.is_some trace_out then
                 Some (Obs.Trace.create ())
@@ -140,27 +173,12 @@ let run (dataset, seed, level, threshold, shards, snapshot) backend query top
                 (fun ms -> Obs.Querylog.create ~threshold_s:(ms /. 1000.) ())
                 slow_ms
             in
-            let emit_exports () =
-              emit_exports ~prom ~trace_out tracer registry querylog
-            in
             (* the stderr tables stay opt-in: a registry or tracer that
-               exists only to feed an export should not print *)
-            let shown_tracer = if trace then tracer else None in
+               exists only to feed an export should not print; EXPLAIN
+               ANALYZE already renders the timings the tree would *)
+            let shown_tracer = if trace && not explain then tracer else None in
             let shown_registry = if metrics then registry else None in
-            (* the result rendering is shared by the plain and sharded
-               paths so the output format cannot drift between them *)
-            let print_result result =
-              Format.printf "formula class: %s@."
-                (Htl.Classify.cls_to_string cls);
-              Format.printf "@.%a@." (Engine.Topk.pp_table ?header:None) result;
-              Format.printf "@.top %d segments:@." top;
-              List.iter
-                (fun (id, sim) ->
-                  Format.printf "  segment %d: %.4f (fraction %.3f)@." id
-                    (Simlist.Sim.actual sim) (Simlist.Sim.fraction sim))
-                (Engine.Topk.top_k result ~k:top)
-            in
-            let no_index_config =
+            let config =
               if no_index then
                 Some
                   {
@@ -170,22 +188,7 @@ let run (dataset, seed, level, threshold, shards, snapshot) backend query top
               else None
             in
             match
-              match snapshot with
-              | Some path ->
-                  `Sharded
-                    (Sharded.load_snapshot ?config:no_index_config ~threshold
-                       ?level ?metrics:registry ?querylog path)
-              | None ->
-                  if shards <= 1 then
-                    `Plain (make_context dataset seed level threshold)
-                  else (
-                    match store_of_dataset dataset with
-                    | Some store ->
-                        `Sharded
-                          (Sharded.create ~shards ?config:no_index_config
-                             ~threshold ?level ?metrics:registry ?querylog
-                             store)
-                    | None -> failwith store_required)
+              open_handle args ?config ?metrics:registry ?querylog ()
             with
             | exception Storage.Snapshot.Snapshot_error e ->
                 Format.eprintf "snapshot error: %s@."
@@ -197,83 +200,27 @@ let run (dataset, seed, level, threshold, shards, snapshot) backend query top
             | exception Failure msg ->
                 Format.eprintf "%s@." msg;
                 exit_usage
-            | `Sharded sh -> (
-                if explain then
-                  match Sharded.explain ~backend ~analyze:trace sh f with
-                  | plan ->
-                      Format.printf "%s@." plan;
-                      emit_diagnostics None shown_registry;
-                      emit_exports ();
-                      exit_ok
+            | sh ->
+                let sh = Sharded.for_request ?tracer sh in
+                let answer () =
+                  if explain then
+                    (* --trace upgrades the explain to an analyzed run:
+                       the query executes and the tree carries per-node
+                       timings *)
+                    Format.printf "%s@?"
+                      (Sharded.explain ~backend ~analyze:trace sh f)
+                  else print_result cls top (Sharded.run ~backend sh f)
+                in
+                let code =
+                  match answer () with
+                  | () -> exit_ok
                   | exception Engine.Query.Error msg ->
                       Format.eprintf "error: %s@." msg;
-                      emit_exports ();
                       exit_query_error
-                else
-                  match Sharded.run ~backend sh f with
-                  | result ->
-                      print_result result;
-                      emit_diagnostics None shown_registry;
-                      emit_exports ();
-                      exit_ok
-                  | exception Engine.Query.Error msg ->
-                      Format.eprintf "error: %s@." msg;
-                      emit_diagnostics None shown_registry;
-                      emit_exports ();
-                      exit_query_error)
-            | `Plain ctx -> (
-                let ctx =
-                  if no_index then
-                    {
-                      ctx with
-                      Engine.Context.picture_config =
-                        {
-                          ctx.Engine.Context.picture_config with
-                          Picture.Retrieval.prune = false;
-                        };
-                    }
-                  else ctx
                 in
-                let ctx =
-                  Option.fold ~none:ctx
-                    ~some:(Engine.Context.with_tracer ctx)
-                    tracer
-                in
-                let ctx =
-                  Option.fold ~none:ctx
-                    ~some:(Engine.Context.with_metrics ctx)
-                    registry
-                in
-                let ctx =
-                  Option.fold ~none:ctx
-                    ~some:(Engine.Context.with_querylog ctx)
-                    querylog
-                in
-                if explain then
-                  (* --trace upgrades the explain to an analyzed run: the
-                     query executes and the tree carries per-node timings *)
-                  match Engine.Query.explain ~backend ~analyze:trace ctx f with
-                  | report ->
-                      Format.printf "%a@." Engine.Explain.pp report;
-                      emit_diagnostics None shown_registry;
-                      emit_exports ();
-                      exit_ok
-                  | exception Engine.Query.Error msg ->
-                      Format.eprintf "error: %s@." msg;
-                      emit_exports ();
-                      exit_query_error
-                else
-                  match Engine.Query.run ~backend ctx f with
-                  | result ->
-                      print_result result;
-                      emit_diagnostics shown_tracer shown_registry;
-                      emit_exports ();
-                      exit_ok
-                  | exception Engine.Query.Error msg ->
-                      Format.eprintf "error: %s@." msg;
-                      emit_diagnostics shown_tracer shown_registry;
-                      emit_exports ();
-                      exit_query_error)))
+                emit_diagnostics shown_tracer shown_registry;
+                emit_exports ~prom ~trace_out tracer registry querylog;
+                code))
 
 let dataset_arg =
   let parse s =
@@ -470,31 +417,15 @@ let query_cmd_term =
 
 (* --- htlq serve -------------------------------------------------------------- *)
 
-let serve_run (dataset, seed, level, threshold, shards, snapshot) host port
-    port_file workers queue_capacity timeout_ms io_timeout_ms max_body domains
-    slow_ms trace_sample trace_slow_ms =
+let serve_run args host port port_file workers queue_capacity timeout_ms
+    io_timeout_ms max_body domains slow_ms trace_sample trace_slow_ms =
   let pool =
     if domains > 0 then Some (Parallel.Pool.create ~domains ()) else None
   in
   let metrics = Obs.Metrics.create () in
   let querylog = Obs.Querylog.create ~threshold_s:(slow_ms /. 1000.) () in
   let stats = Obs.Stats.create () in
-  match
-    match snapshot with
-    | Some path ->
-        `Sharded
-          (Sharded.load_snapshot ~threshold ?level ?pool ~metrics ~querylog
-             ~stats path)
-    | None ->
-        if shards <= 1 then `Plain (make_context dataset seed level threshold)
-        else (
-          match store_of_dataset dataset with
-          | Some store ->
-              `Sharded
-                (Sharded.create ~shards ~threshold ?level ?pool ~metrics
-                   ~querylog ~stats store)
-          | None -> failwith store_required)
-  with
+  match open_handle args ?pool ~metrics ~querylog ~stats () with
   | exception (Sys_error msg | Failure msg) ->
       Format.eprintf "serve: %s@." msg;
       exit_query_error
@@ -502,24 +433,14 @@ let serve_run (dataset, seed, level, threshold, shards, snapshot) host port
       Format.eprintf "serve: snapshot error: %s@."
         (Storage.Snapshot.error_to_string e);
       exit_query_error
-  | exec -> (
-      let ctx, sharded =
-        match exec with
-        | `Plain ctx ->
-            let ctx =
-              match pool with
-              | Some p -> Engine.Context.with_pool ctx p
-              | None -> ctx
-            in
-            (ctx, None)
-        | `Sharded sh -> ((Sharded.contexts sh).(0), Some sh)
-      in
+  | sharded -> (
       let trace_slow_s =
         Option.map (fun ms -> ms /. 1000.) trace_slow_ms
       in
       let state =
         Htl_server.Router.make ~metrics ~querylog ~stats ~trace_sample
-          ?trace_slow_s ?sharded ctx
+          ?trace_slow_s ~sharded
+          (Sharded.contexts sharded).(0)
       in
       let config =
         {

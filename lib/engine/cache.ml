@@ -150,15 +150,6 @@ let stats t =
 let survivals t = Mutex.protect t.mutex (fun () -> t.survivals)
 let stale_drops t = Mutex.protect t.mutex (fun () -> t.stale_drops)
 
-let stats_delta ~(before : stats) ~(after : stats) =
-  {
-    hits = after.hits - before.hits;
-    misses = after.misses - before.misses;
-    evictions = after.evictions - before.evictions;
-    entries = after.entries;
-    capacity = after.capacity;
-  }
-
 let reset_stats t =
   Mutex.protect t.mutex (fun () ->
       t.hits <- 0;

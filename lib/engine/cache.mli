@@ -89,11 +89,6 @@ val survivals : t -> int
 val stale_drops : t -> int
 (** Entries dropped on probe because a change invalidated them. *)
 
-val stats_delta : before:stats -> after:stats -> stats
-(** Counter differences between two snapshots (what happened in
-    between — e.g. one query's probes, for the slow-query log);
-    [entries]/[capacity] are [after]'s. *)
-
 val reset_stats : t -> unit
 (** Zero the counters; entries stay. *)
 

@@ -23,10 +23,18 @@ let backend_name = function
   | Sql_backend_choice -> "sql"
   | Auto_backend -> "auto"
 
+let backend_of_name = function
+  | "direct" -> Ok Direct_backend
+  | "sql" -> Ok Sql_backend_choice
+  | "auto" -> Ok Auto_backend
+  | other ->
+      Error
+        (Printf.sprintf "unknown backend %S (use direct, sql or auto)" other)
+
 (* Plan the query just before dispatch: once per query (the plan rides
    the derived context), skipped entirely when planning is off or the
-   caller attached a plan already (the sharded coordinator does not —
-   each shard plans against its own registry and extents). *)
+   caller attached a plan already (the envelope plans shard 0; every
+   other shard plans against its own registry and extents). *)
 let ensure_plan (ctx : Context.t) f =
   if (not ctx.planner) || Option.is_some ctx.plan then ctx
   else
@@ -89,9 +97,6 @@ let dispatch ~backend ctx cls f =
               fail "%s" msg)
       | Htl.Classify.General -> general_error f)
 
-(* Per-query slow-log bookkeeping reads the cache and scan counters
-   before and after and keeps only the differences, so a record describes
-   this query, not the context's lifetime. *)
 let scan_prefix = "picture.segments_scanned"
 
 let scan_counters m =
@@ -112,22 +117,38 @@ let scan_delta ~before after =
       if n > prior then Some (name, n - prior) else None)
     after
 
-(* The observed path: everything [run] does beyond classify + dispatch
-   when the context carries a tracer, metrics or a slow-query log.  GC
-   deltas ride the ["query.run"] span as attributes (when tracing), feed
-   the ["query.allocated_words"] histogram (when metering) and land in
-   the slow-log record. *)
-let run_observed ~backend (ctx : Context.t) f =
+let own_cache_probe (ctx : Context.t) () =
+  match ctx.cache with
+  | None -> (0, 0)
+  | Some c ->
+      let s = Cache.stats c in
+      (s.Cache.hits, s.Cache.misses)
+
+(* The per-query envelope (DESIGN.md §2.18), one for every deployment:
+   a bare context runs through it with one shard's worth of [eval], the
+   sharded coordinator with a scatter–gather.  It plans the query on
+   [ctx] and resolves [Auto_backend] once, so every shard runs — and the
+   stats, slow log and span all record — the concrete backend.  [eval]
+   gets the planned context, the class and that backend, and answers
+   with the result and its per-shard latencies.
+
+   Observed (a tracer, metrics, a slow-query log or stats attached), the
+   evaluation sits under a ["query.run"] span whose GC delta rides as
+   attributes and feeds the ["query.allocated_words"] histogram; the
+   slow-log record reads the cache probes ([cache_probe]: cumulative
+   hits and misses, the context's own cache by default) and the scan
+   counters before and after, so it describes this query, not the
+   context's lifetime. *)
+let observed ~backend ?cache_probe (ctx : Context.t) f eval =
   let t_start = Obs.Clock.now () in
-  (* plan and resolve [Auto_backend] up front so the stats, slow-log
-     and span all record the concrete backend that actually ran *)
   let ctx = ensure_plan ctx f in
   let backend = resolve_backend ~backend ctx f in
   Option.iter (fun m -> Obs.Metrics.incr m "query.count") ctx.metrics;
+  let cache_probe =
+    match cache_probe with Some p -> p | None -> own_cache_probe ctx
+  in
   let cache_before =
-    match ctx.querylog with
-    | Some _ -> Option.map Cache.stats ctx.cache
-    | None -> None
+    match ctx.querylog with Some _ -> Some (cache_probe ()) | None -> None
   in
   let scans_before =
     match (ctx.querylog, ctx.metrics) with
@@ -137,6 +158,7 @@ let run_observed ~backend (ctx : Context.t) f =
   let gc_before = Obs.Resource.sample () in
   let gc = ref Obs.Resource.zero in
   let cls = ref None in
+  let shards = ref [] in
   let work () =
     match Htl.Classify.check f with
     | Error reason -> fail "unsupported formula: %s" reason
@@ -158,8 +180,9 @@ let run_observed ~backend (ctx : Context.t) f =
                 (fun (k, v) -> Context.add_attr ctx k (fun () -> v))
                 (Obs.Resource.to_attrs !gc)
             in
-            match dispatch ~backend ctx c f with
-            | r ->
+            match eval ctx c backend with
+            | r, lats ->
+                shards := lats;
                 account ();
                 r
             | exception e ->
@@ -186,11 +209,11 @@ let run_observed ~backend (ctx : Context.t) f =
     match ctx.querylog with
     | Some ql when Obs.Querylog.should_log ql ~latency_s:latency ->
         let hits, misses =
-          match (cache_before, Option.map Cache.stats ctx.cache) with
-          | Some before, Some after ->
-              let d = Cache.stats_delta ~before ~after in
-              (d.Cache.hits, d.Cache.misses)
-          | _ -> (0, 0)
+          match cache_before with
+          | Some (h0, m0) ->
+              let h1, m1 = cache_probe () in
+              (h1 - h0, m1 - m0)
+          | None -> (0, 0)
         in
         let scans =
           match (scans_before, ctx.metrics) with
@@ -212,30 +235,38 @@ let run_observed ~backend (ctx : Context.t) f =
             cache_misses = misses;
             segments_scanned = scans;
             resources = !gc;
-            shards = [];
+            shards = !shards;
             trace_id = ctx.trace_id;
             error;
           }
     | Some _ | None -> ()
   in
   match work () with
-  | list ->
+  | r ->
       finish ~error:None;
-      list
+      r
   | exception e ->
       finish
         ~error:
           (Some (match e with Error msg -> msg | e -> Printexc.to_string e));
       raise e
 
-let run ?(backend = Direct_backend) (ctx : Context.t) f =
+let envelope ~backend ?cache_probe (ctx : Context.t) f eval =
   match (ctx.tracer, ctx.metrics, ctx.querylog, ctx.stats) with
   | None, None, None, None -> (
-      (* the unobserved fast path: classify + dispatch, nothing else *)
+      (* the unobserved fast path: classify, plan, evaluate — nothing else *)
       match Htl.Classify.check f with
       | Error reason -> fail "unsupported formula: %s" reason
-      | Ok cls -> dispatch ~backend ctx cls f)
-  | _ -> run_observed ~backend ctx f
+      | Ok cls ->
+          let ctx = ensure_plan ctx f in
+          fst (eval ctx cls (resolve_backend ~backend ctx f)))
+  | _ -> observed ~backend ?cache_probe ctx f eval
+
+let run ?(backend = Direct_backend) ctx f =
+  envelope ~backend ctx f (fun ctx cls backend ->
+      (dispatch ~backend ctx cls f, []))
+
+let run_observed ~backend ctx f = run ~backend ctx f
 
 (* EXPLAIN (DESIGN.md §2.14).  The static form walks the same dispatch
    [run] would take and renders the evaluation tree; [~analyze:true]

@@ -10,10 +10,18 @@ type backend =
       (** let the cost-based planner pick per query: observed
           per-(fingerprint, backend) latency EWMAs when both backends
           have run the formula, static cost estimates otherwise
-          ({!Planner.choose_backend}).  Resolved inside {!dispatch}, so
-          a sharded scatter resolves per shard; with planning off
-          ({!Context.without_planner}) it falls back to the direct
-          backend.  {!explain}'s report says what was picked and why. *)
+          ({!Planner.choose_backend}).  Resolved once per query by
+          {!envelope}, against the plan of the context it is given (a
+          sharded coordinator's shard 0), so every shard runs the same
+          backend; with planning off ({!Context.without_planner}) it
+          falls back to the direct backend.  {!explain}'s report says
+          what was picked and why. *)
+
+val backend_name : backend -> string
+(** ["direct"], ["sql"] or ["auto"] — the wire, CLI and stats name. *)
+
+val backend_of_name : string -> (backend, string) result
+(** Inverse of {!backend_name}; the error names the accepted values. *)
 
 val classify : Htl.Ast.t -> Htl.Classify.cls
 
@@ -25,10 +33,33 @@ val dispatch :
   Simlist.Sim_list.t
 (** The class dispatcher {!run} sits on: evaluate an already-classified
     formula with no per-query envelope (no [query.count], latency
-    histogram or slow-log record).  [Htl_shard]'s coordinator uses it so
-    a scatter over N shards still counts as {e one} query; everyone else
-    wants {!run}.
+    histogram or slow-log record).  [Htl_shard]'s coordinator runs it on
+    every shard inside one {!envelope}, so a scatter over N shards still
+    counts as {e one} query; everyone else wants {!run}.
     @raise Error as {!run} does. *)
+
+val envelope :
+  backend:backend ->
+  ?cache_probe:(unit -> int * int) ->
+  Context.t ->
+  Htl.Ast.t ->
+  (Context.t -> Htl.Classify.cls -> backend -> 'a * (int * float) list) ->
+  'a
+(** [envelope ~backend ctx f eval] is the one per-query envelope, for a
+    bare context and a sharded coordinator alike: classify [f], plan it
+    on [ctx], resolve [Auto_backend] once, and call [eval] with the
+    planned context, the class and the concrete backend.  [eval] answers
+    with the result and the per-shard latencies ([(ordinal, seconds)];
+    [[]] for a bare context).
+
+    When [ctx] carries a tracer, metrics, a querylog or stats, the call
+    is observed (see {e Observability} below): a ["query.run"] span
+    around [eval], the query counters and histograms, the {!Obs.Stats}
+    fold and the slow-log record — all naming the concrete backend, the
+    record's [shards] field holding [eval]'s latencies and its cache
+    deltas read from [cache_probe] (cumulative hits and misses; [ctx]'s
+    own cache by default).
+    @raise Error on unsupported formulas, and whatever [eval] raises. *)
 
 val run :
   ?backend:backend -> Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
@@ -46,12 +77,8 @@ val run_string :
 
 val run_observed :
   backend:backend -> Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
-(** The observed evaluation path {!run} takes when the context carries a
-    tracer, metrics or a querylog: span, counters, latency/allocation
-    histograms and the slow-log record, whichever of the three are
-    attached.  Exposed for callers that hold a long-lived observed
-    context (the {!Server}) and want the bookkeeping unconditionally;
-    on a bare context it is just {!run} with extra clock reads.
+(** {!run} with a required backend: both go through {!envelope}, which
+    observes whatever the context carries.
     @raise Error as {!run} does. *)
 
 val run_batch :
@@ -103,9 +130,9 @@ val top_k :
     threshold append a structured record (formula fingerprint, backend,
     class, latency, per-query cache hit/miss deltas, per-level
     [picture.segments_scanned.*] deltas when metrics are also attached,
-    allocation delta, and the error message if the query failed).
-    Without any of the three the fast path runs classify + dispatch
-    only.
+    allocation delta, per-shard latencies when a sharded coordinator
+    ran it, and the error message if the query failed).  Without any of
+    them the fast path runs classify, plan and dispatch only.
 
     The direct backend memoizes subformula tables in the context's
     {!Cache} (see DESIGN.md, "Caching & invalidation").  The counters

@@ -24,9 +24,10 @@ type record = {
           [("picture.segments_scanned.l2", 180)] *)
   resources : Resource.delta;
   shards : (int * float) list;
-      (** per-shard latency seconds, keyed by shard ordinal — empty for
-          unsharded queries; sharded coordinators record one pair per
-          shard so skew is visible in the log *)
+      (** per-shard latency seconds, keyed by shard ordinal — one pair
+          per shard of the handle that ran the query (so one for an
+          unsharded deployment), skew visible in the log; empty only
+          for a bare {!Engine.Query.run} *)
   trace_id : string option;
       (** the request's end-to-end id ({!Traceid}) when the query ran
           under the service — joins this record to its span tree in

@@ -18,19 +18,6 @@ type query_req = {
 
 let default_k = 10
 
-let backend_name = function
-  | Engine.Query.Direct_backend -> "direct"
-  | Engine.Query.Sql_backend_choice -> "sql"
-  | Engine.Query.Auto_backend -> "auto"
-
-let backend_of_name = function
-  | "direct" -> Ok Engine.Query.Direct_backend
-  | "sql" -> Ok Engine.Query.Sql_backend_choice
-  | "auto" -> Ok Engine.Query.Auto_backend
-  | other ->
-      Error
-        (Printf.sprintf "unknown backend %S (use direct, sql or auto)" other)
-
 let query_req_to_json r =
   Json.Obj
     (("query", Json.String r.q)
@@ -39,7 +26,7 @@ let query_req_to_json r =
         | None -> [])
     @ [
         ("k", Json.Int r.k);
-        ("backend", Json.String (backend_name r.backend));
+        ("backend", Json.String (Engine.Query.backend_name r.backend));
         ("explain", Json.Bool r.explain);
       ])
 
@@ -62,7 +49,7 @@ let shared_fields_of_json json =
   let* backend =
     match field "backend" with
     | None | Some Json.Null -> Ok Engine.Query.Direct_backend
-    | Some (Json.String s) -> backend_of_name s
+    | Some (Json.String s) -> Engine.Query.backend_of_name s
     | Some _ -> Error "\"backend\" must be \"direct\", \"sql\" or \"auto\""
   in
   let* explain =
@@ -134,9 +121,10 @@ let results_of_json json =
    (retroactive keep: the tree must exist before we know the latency). *)
 type trace_policy = { sample_every : int; slow_s : float option }
 
+module Sharded = Htl_shard.Sharded
+
 type state = {
-  ctx : Engine.Context.t;
-  sharded : Htl_shard.Sharded.t option;
+  sharded : Sharded.t;  (* the only evaluation handle, one shard or many *)
   metrics : Obs.Metrics.t;
   querylog : Obs.Querylog.t;
   stats : Obs.Stats.t;
@@ -191,15 +179,18 @@ let make ?metrics ?querylog ?stats ?tracestore ?(trace_sample = 0)
     match tracestore with Some t -> t | None -> Obs.Tracestore.create ()
   in
   preregister metrics;
-  let ctx =
-    Engine.Context.with_stats
-      (Engine.Context.with_querylog
-         (Engine.Context.with_metrics ctx metrics)
-         querylog)
-      stats
+  let sharded =
+    match sharded with
+    | Some sh -> sh
+    | None ->
+        Sharded.of_context
+          (Engine.Context.with_stats
+             (Engine.Context.with_querylog
+                (Engine.Context.with_metrics ctx metrics)
+                querylog)
+             stats)
   in
   {
-    ctx;
     sharded;
     metrics;
     querylog;
@@ -210,8 +201,8 @@ let make ?metrics ?querylog ?stats ?tracestore ?(trace_sample = 0)
     active = Atomic.make 0;
   }
 
-let context s = s.ctx
-let sharded s = s.sharded
+let context s = (Sharded.contexts s.sharded).(0)
+let sharded s = Some s.sharded
 let metrics s = s.metrics
 let querylog s = s.querylog
 let stats s = s.stats
@@ -239,32 +230,14 @@ let error_response ~status msg =
 
 (* --- query evaluation ------------------------------------------------------- *)
 
-let ctx_for_level ctx = function
-  | None -> Ok ctx
-  | Some level -> (
-      match ctx.Engine.Context.store with
-      | None -> Error "\"level\" requires a store-backed dataset"
-      | Some store ->
-          let levels = Video_model.Store.levels store in
-          if level < 1 || level > levels then
-            Error
-              (Printf.sprintf "level %d out of range 1..%d" level levels)
-          else
-            Ok
-              (Engine.Context.with_level ctx ~level
-                 ~extents:(Video_model.Store.extents_at store ~level)))
-
-module Sharded = Htl_shard.Sharded
-
-let sharded_for_level sh = function
+let at_level sh = function
   | None -> Ok sh
-  | Some level ->
-      let levels = Sharded.levels sh in
-      if level < 1 || level > levels then
-        Error (Printf.sprintf "level %d out of range 1..%d" level levels)
-      else Ok (Sharded.with_level sh ~level)
+  | Some level -> (
+      match Sharded.with_level sh ~level with
+      | sh -> Ok sh
+      | exception Invalid_argument msg -> Error msg)
 
-let sharded_result_json sh req f =
+let query_json sh req f =
   let cls = Htl.Classify.classify f in
   if req.explain then
     Json.Obj
@@ -281,55 +254,21 @@ let sharded_result_json sh req f =
         ("results", results_to_json top);
       ]
 
-let query_result_json ctx req f =
-  let cls = Htl.Classify.classify f in
-  if req.explain then
-    let report = Engine.Query.explain ~backend:req.backend ctx f in
-    Json.Obj
-      [
-        ("class", Json.String (Htl.Classify.cls_to_string cls));
-        ("plan", Json.String (Format.asprintf "%a" Engine.Explain.pp report));
-      ]
-  else
-    let list = Engine.Query.run_observed ~backend:req.backend ctx f in
-    let top = Engine.Topk.top_k list ~k:req.k in
-    Json.Obj
-      [
-        ("class", Json.String (Htl.Classify.cls_to_string cls));
-        ("count", Json.Int (Simlist.Sim_list.length list));
-        ("results", results_to_json top);
-      ]
-
 let run_query state req =
-  match state.sharded with
-  | Some sh -> (
-      match sharded_for_level sh req.level with
-      | Error msg -> error_response ~status:400 msg
-      | Ok sh -> (
-          match Htl.Parser.formula_of_string_opt req.q with
-          | Error msg -> error_response ~status:400 ("syntax error: " ^ msg)
-          | Ok f -> (
-              match sharded_result_json sh req f with
-              | json -> json_response ~status:200 json
-              | exception Engine.Query.Error msg ->
-                  error_response ~status:400 msg)))
-  | None -> (
-      match ctx_for_level state.ctx req.level with
-      | Error msg -> error_response ~status:400 msg
-      | Ok ctx -> (
-          match Htl.Parser.formula_of_string_opt req.q with
-          | Error msg -> error_response ~status:400 ("syntax error: " ^ msg)
-          | Ok f -> (
-              match query_result_json ctx req f with
-              | json -> json_response ~status:200 json
-              | exception Engine.Query.Error msg ->
-                  error_response ~status:400 msg)))
+  match at_level state.sharded req.level with
+  | Error msg -> error_response ~status:400 msg
+  | Ok sh -> (
+      match Htl.Parser.formula_of_string_opt req.q with
+      | Error msg -> error_response ~status:400 ("syntax error: " ^ msg)
+      | Ok f -> (
+          match query_json sh req f with
+          | json -> json_response ~status:200 json
+          | exception Engine.Query.Error msg -> error_response ~status:400 msg))
 
 (* Batch: queries are independent; a parse failure occupies its error
    slot without touching its neighbours, and evaluation failures come
    back as [Error msg] from run_batch itself.  Each slot answers
-   (count, top k): the sharded arm gathers them without a merged list,
-   as /query does. *)
+   (count, top k), gathered without a merged list as /query does. *)
 let run_batch state req_json =
   let ( let* ) = Result.bind in
   let parsed =
@@ -347,25 +286,12 @@ let run_batch state req_json =
       | Some _ -> Error "\"queries\" must be an array of strings"
       | None -> Error "missing \"queries\" field"
     in
-    let* eval =
-      match state.sharded with
-      | Some sh ->
-          let* sh = sharded_for_level sh level in
-          Ok (fun backend formulas -> Sharded.run_batch ~backend sh ~k formulas)
-      | None ->
-          let* ctx = ctx_for_level state.ctx level in
-          Ok
-            (fun backend formulas ->
-              List.map
-                (Result.map (fun list ->
-                     (Simlist.Sim_list.length list, Engine.Topk.top_k list ~k)))
-                (Engine.Query.run_batch ~backend ctx formulas))
-    in
-    Ok (backend, queries, eval)
+    let* sh = at_level state.sharded level in
+    Ok (backend, queries, sh, k)
   in
   match parsed with
   | Error msg -> error_response ~status:400 msg
-  | Ok (backend, queries, eval) ->
+  | Ok (backend, queries, sh, k) ->
       let slots =
         List.map
           (fun q ->
@@ -375,7 +301,7 @@ let run_batch state req_json =
           queries
       in
       let formulas = List.filter_map Result.to_option slots in
-      let outcomes = eval backend formulas in
+      let outcomes = Sharded.run_batch ~backend sh ~k formulas in
       (* stitch evaluation outcomes back into the parse-error slots *)
       let rec stitch slots outcomes =
         match (slots, outcomes) with
@@ -412,8 +338,8 @@ let run_batch state req_json =
        "fires_at", "args": [3, 7]} ] } ],
        "video": 0 }            (optional; default: the last video)
    Appends the segments as new leaves of the target video (which must be
-   the last of the store, or of its owning shard) and answers with the
-   new leaf count and store version. *)
+   the last of its owning shard) and answers with the new leaf count and
+   the store version (summed over the shards). *)
 
 let ( let* ) = Result.bind
 
@@ -519,54 +445,20 @@ let run_ingest state json =
   match ingest_req_of_json json with
   | Error msg -> error_response ~status:400 msg
   | Ok (segments, video) -> (
-      let appended () =
-        let n = List.length segments in
-        Obs.Metrics.incr state.metrics ~by:n "server.ingested";
-        n
-      in
-      match state.sharded with
-      | Some sh -> (
-          match Sharded.append_segments ?video sh segments with
-          | () ->
-              let n = appended () in
-              json_response ~status:200
-                (Json.Obj
-                   [
-                     ("appended", Json.Int n);
-                     ( "leaf_count",
-                       Json.Int (Sharded.count_at sh ~level:(Sharded.levels sh))
-                     );
-                   ])
-          | exception Invalid_argument msg -> error_response ~status:400 msg)
-      | None -> (
-          match state.ctx.Engine.Context.store with
-          | None ->
-              error_response ~status:400
-                "ingestion requires a store-backed dataset"
-          | Some store -> (
-              let last = List.length (Video_model.Store.videos store) - 1 in
-              match video with
-              | Some v when v <> last ->
-                  error_response ~status:400
-                    (Printf.sprintf
-                       "only the last video (%d) can grow, got %d" last v)
-              | Some _ | None -> (
-                  match Video_model.Store.append_segments store segments with
-                  | () ->
-                      let n = appended () in
-                      json_response ~status:200
-                        (Json.Obj
-                           [
-                             ("appended", Json.Int n);
-                             ( "leaf_count",
-                               Json.Int
-                                 (Video_model.Store.count_at store
-                                    ~level:(Video_model.Store.levels store)) );
-                             ( "version",
-                               Json.Int (Video_model.Store.version store) );
-                           ])
-                  | exception Invalid_argument msg ->
-                      error_response ~status:400 msg))))
+      let sh = state.sharded in
+      match Sharded.append_segments ?video sh segments with
+      | () ->
+          let n = List.length segments in
+          Obs.Metrics.incr state.metrics ~by:n "server.ingested";
+          json_response ~status:200
+            (Json.Obj
+               [
+                 ("appended", Json.Int n);
+                 ( "leaf_count",
+                   Json.Int (Sharded.count_at sh ~level:(Sharded.levels sh)) );
+                 ("version", Json.Int (Sharded.version sh));
+               ])
+      | exception Invalid_argument msg -> error_response ~status:400 msg)
 
 let with_body_json (req : Http.request) k =
   match Json.of_string req.Http.body with
@@ -659,30 +551,18 @@ let request_trace_id req =
   match provided with Some id -> id | None -> Obs.Traceid.generate ()
 
 (* A request-scoped view of the state: same warm caches, registries and
-   rings, but the evaluation context (or every shard context) stamps
-   [trace_id] and — when the request is traced — emits into a tracer
-   that no concurrent request shares, so span nesting stays coherent
-   even though all worker threads live on one domain. *)
+   rings, but every shard context stamps [trace_id] and — when the
+   request is traced — emits into a tracer that no concurrent request
+   shares, so span nesting stays coherent even though all worker threads
+   live on one domain. *)
 let state_for_request state ~trace_id tracer =
-  let ctx = Engine.Context.with_trace_id state.ctx trace_id in
-  let ctx =
-    match tracer with
-    | Some tr -> Engine.Context.with_tracer ctx tr
-    | None -> ctx
-  in
-  let sharded =
-    Option.map
-      (fun sh -> Sharded.for_request ?tracer ~trace_id sh)
-      state.sharded
-  in
-  { state with ctx; sharded }
+  { state with sharded = Sharded.for_request ?tracer ~trace_id state.sharded }
 
 let set_active state n =
   Obs.Metrics.set_gauge state.metrics "server.active_requests" (float_of_int n)
 
 let handle state req =
   let t0 = Obs.Clock.now () in
-  let wall0 = Unix.gettimeofday () in
   Obs.Metrics.incr state.metrics "server.requests";
   set_active state (Atomic.fetch_and_add state.active 1 + 1);
   let trace_id = request_trace_id req in
@@ -736,7 +616,7 @@ let handle state req =
         Obs.Tracestore.add state.tracestore
           {
             Obs.Tracestore.trace_id;
-            time_s = wall0;
+            time_s = t0;
             latency_s = latency;
             meth = req.Http.meth;
             target = req.Http.target;

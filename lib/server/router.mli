@@ -1,12 +1,13 @@
-(** Request routing over a warm {!Engine.Context}: the pure core of the
-    server — an {!Http.request} in, an {!Http.response} out, no sockets
+(** Request routing over a warm {!Htl_shard.Sharded} handle — one shard
+    for an unsharded store, so every deployment answers through the same
+    path: the pure core of the server — an {!Http.request} in, an {!Http.response} out, no sockets
     — so every route, status code and wire-format corner is unit-testable
     in memory.
 
     Routes:
     - [POST /query] — one HTL query (JSON body, {!query_req}) → ranked
       segments as JSON, or an EXPLAIN plan with [explain: true];
-    - [POST /batch] — many queries through {!Engine.Query.run_batch},
+    - [POST /batch] — many queries through {!Htl_shard.Sharded.run_batch},
       per-query error isolation (one bad query yields an error slot,
       never a failed batch);
     - [GET /metrics] — Prometheus text exposition of the state's
@@ -28,11 +29,11 @@
     in the {!Obs.Tracestore} ring; everything else stays on the
     zero-cost nil-tracer path.
 
-    The context is shared by every concurrent request: its cache,
-    index registry, hash-consing table and metrics are all thread-safe
+    The handle is shared by every concurrent request: its caches,
+    index registries, hash-consing table and metrics are all thread-safe
     (DESIGN.md §2.13, §2.17), so the router takes no lock of its own —
     the per-request tracer is reached only through a request-scoped
-    derived context (DESIGN.md §2.20). *)
+    view ({!Htl_shard.Sharded.for_request}, DESIGN.md §2.20). *)
 
 (** {1 Wire format} *)
 
@@ -90,14 +91,19 @@ val make :
     @raise Invalid_argument when [trace_sample < 0] or
     [trace_slow_s < 0].
 
-    When [sharded] is given, [/query] and [/batch] evaluate against it
-    (scatter–gather with coordinator merge) instead of the context; the
-    sharded handle should have been created with the same [metrics],
-    [querylog] and [stats] so [/metrics], [/slowlog] and [/stats] keep
-    reporting it. *)
+    Without [sharded], the state evaluates through
+    {!Htl_shard.Sharded.of_context} over the context (the store is
+    wrapped, not copied).  When [sharded] is given, it is the handle
+    instead and the context is not used; it should have been created
+    with the same [metrics], [querylog] and [stats] so [/metrics],
+    [/slowlog] and [/stats] keep reporting it. *)
 
 val context : state -> Engine.Context.t
+(** Shard 0's context. *)
+
 val sharded : state -> Htl_shard.Sharded.t option
+(** [Some] of the state's only evaluation handle. *)
+
 val metrics : state -> Obs.Metrics.t
 val querylog : state -> Obs.Querylog.t
 val stats : state -> Obs.Stats.t

@@ -6,21 +6,25 @@ module Cache = Engine.Cache
 module Sim_list = Simlist.Sim_list
 
 type t = {
-  shards : Context.t array;  (* in partition order; every ctx store-backed *)
+  shards : Context.t array;
+      (* in partition order; all carry the same observers and pool *)
   level : int;
   levels : int;
   offsets : int array;  (* global-id offset per shard at [level] *)
-  pool : Parallel.Pool.t option;
-  metrics : Obs.Metrics.t option;
-  querylog : Obs.Querylog.t option;
-  stats : Obs.Stats.t option;
-  trace_id : string option; (* set per request via [for_request] *)
 }
 
-let store_of ctx =
+(* A single shard may wrap a store-less table context (the paper's
+   Casablanca tables): one level, offset 0, and no store to route
+   levels, mutations or appends to. *)
+let store_of ?(what = "Sharded") ctx =
   match ctx.Context.store with
   | Some s -> s
-  | None -> invalid_arg "Sharded: shard context without a store"
+  | None -> invalid_arg (what ^ " requires a store-backed dataset")
+
+let count_of ctx ~level =
+  match ctx.Context.store with
+  | Some s -> Store.count_at s ~level
+  | None -> Context.segment_count ctx
 
 let offsets_of shards ~level =
   let n = Array.length shards in
@@ -28,22 +32,29 @@ let offsets_of shards ~level =
   let acc = ref 0 in
   for i = 0 to n - 1 do
     off.(i) <- !acc;
-    acc := !acc + Store.count_at (store_of shards.(i)) ~level
+    acc := !acc + count_of shards.(i) ~level
   done;
   off
 
-let make ~pool ~metrics ~querylog ?stats ctxs =
+let make ctxs =
   let shards = Array.of_list ctxs in
   if Array.length shards = 0 then invalid_arg "Sharded: no shards";
-  let levels = Store.levels (store_of shards.(0)) in
-  Array.iter
-    (fun c ->
-      if Store.levels (store_of c) <> levels then
-        invalid_arg "Sharded: shards disagree on level structure")
-    shards;
+  let levels =
+    match shards with
+    | [| { Context.store = None; _ } |] -> 1
+    | _ ->
+        let levels = Store.levels (store_of shards.(0)) in
+        Array.iter
+          (fun c ->
+            if Store.levels (store_of c) <> levels then
+              invalid_arg "Sharded: shards disagree on level structure")
+          shards;
+        levels
+  in
   let level = shards.(0).Context.level in
-  { shards; level; levels; offsets = offsets_of shards ~level; pool; metrics;
-    querylog; stats; trace_id = None }
+  { shards; level; levels; offsets = offsets_of shards ~level }
+
+let of_context ctx = make [ ctx ]
 
 (* Contiguous partition of the videos into at most [n] groups of roughly
    equal leaf weight: videos accumulate into the current group until the
@@ -80,34 +91,38 @@ let create ?(shards = 1) ?config ?threshold ?conj_mode ?reorder_joins ?level
     List.map
       (fun group ->
         Context.of_store ?config ?threshold ?conj_mode ?reorder_joins ?level
-          ?planner ?pool ?par_cutoff ?metrics ?stats (Store.create group))
+          ?planner ?pool ?par_cutoff ?metrics ?querylog ?stats
+          (Store.create group))
       groups
   in
-  make ~pool ~metrics ~querylog ?stats ctxs
+  make ctxs
 
 let shard_count t = Array.length t.shards
 let level t = t.level
 let levels t = t.levels
-let level_index t name = Store.level_index (store_of t.shards.(0)) name
+let level_index t name =
+  Option.bind t.shards.(0).Context.store (fun s -> Store.level_index s name)
+
 let contexts t = t.shards
 let offsets t = t.offsets
 
 let count_at t ~level =
-  Array.fold_left
-    (fun acc ctx -> acc + Store.count_at (store_of ctx) ~level)
-    0 t.shards
+  Array.fold_left (fun acc ctx -> acc + count_of ctx ~level) 0 t.shards
 
 let segment_count t = count_at t ~level:t.level
 
+let version t =
+  Array.fold_left (fun acc ctx -> acc + Context.store_version ctx) 0 t.shards
+
 let with_level t ~level =
+  let stores = Array.map (store_of ~what:"\"level\"") t.shards in
   if level < 1 || level > t.levels then
-    invalid_arg (Printf.sprintf "Sharded.with_level: level %d not in 1..%d"
-                   level t.levels);
+    invalid_arg (Printf.sprintf "level %d out of range 1..%d" level t.levels);
   let shards =
-    Array.map
-      (fun ctx ->
-        let store = store_of ctx in
-        Context.with_level ctx ~level ~extents:(Store.extents_at store ~level))
+    Array.mapi
+      (fun i ctx ->
+        Context.with_level ctx ~level
+          ~extents:(Store.extents_at stores.(i) ~level))
       t.shards
   in
   { t with shards; level; offsets = offsets_of shards ~level }
@@ -135,33 +150,31 @@ let for_request ?tracer ?trace_id t =
         | Some tr -> Context.with_tracer ctx tr
         | None -> ctx
       in
-      {
-        t with
-        shards = Array.map derive t.shards;
-        trace_id =
-          (match trace_id with Some _ as id -> id | None -> t.trace_id);
-      }
+      { t with shards = Array.map derive t.shards }
 
 (* --- scatter–gather ------------------------------------------------------ *)
 
 let fail fmt = Format.kasprintf (fun s -> raise (Query.Error s)) fmt
+let pool t = t.shards.(0).Context.pool
+let metrics t = t.shards.(0).Context.metrics
 
 (* Scatter: evaluate the already-classified formula on every shard,
    recording per-shard wall time.  [Query.dispatch] skips the per-query
    envelope, so N shard evaluations still count as one query at the
    coordinator; the shard contexts carry the shared metrics, so cache
    and index counters (cache.hits, picture.index.builds, ...) keep
-   accumulating normally.  When the shard contexts carry a (request)
+   accumulating normally.  Shard 0 runs on [ctx0], the context the
+   envelope already planned.  When the shard contexts carry a (request)
    tracer, each shard's evaluation sits under its own "shard.scatter"
    span carrying the ordinal and trace id — under a pool the span roots
    at the worker domain's stack bottom, sequentially it nests under the
    caller. *)
-let eval_parts ~backend t cls f =
+let eval_parts ~backend t ctx0 cls f =
   let one (i, ctx) =
     Context.with_span ctx "shard.scatter"
       ~attrs:(fun () ->
         ("shard", string_of_int i)
-        :: (match t.trace_id with
+        :: (match ctx.Context.trace_id with
            | Some id -> [ ("trace_id", id) ]
            | None -> []))
       (fun () ->
@@ -169,8 +182,12 @@ let eval_parts ~backend t cls f =
         let list = Query.dispatch ~backend ctx cls f in
         (list, Obs.Clock.now () -. t0))
   in
-  let ctxs = List.mapi (fun i ctx -> (i, ctx)) (Array.to_list t.shards) in
-  match t.pool with
+  let ctxs =
+    List.mapi
+      (fun i ctx -> (i, if i = 0 then ctx0 else ctx))
+      (Array.to_list t.shards)
+  in
+  match pool t with
   | Some p when Parallel.Pool.domain_count p > 1 && Array.length t.shards > 1
     ->
       Parallel.Pool.parallel_map p one ctxs
@@ -211,7 +228,7 @@ let count_top t ~k parts =
   (Sim_list.concat_length parts, Engine.Topk.merged_top_k parts ~k)
 
 let note_scatter t ~merge_s parts =
-  match t.metrics with
+  match metrics t with
   | None -> ()
   | Some m ->
       Obs.Metrics.incr m ~by:(Array.length t.shards) "shard.queries";
@@ -223,27 +240,7 @@ let note_scatter t ~merge_s parts =
       in
       if mean > 0. then Obs.Metrics.set_gauge m "shard.imbalance" (mx /. mean)
 
-let scan_prefix = "picture.segments_scanned"
-
-let scan_counters m =
-  List.filter_map
-    (function
-      | name, Obs.Metrics.Counter n
-        when String.starts_with ~prefix:scan_prefix name ->
-          Some (name, n)
-      | _ -> None)
-    (Obs.Metrics.snapshot m)
-
-let scan_delta ~before after =
-  List.filter_map
-    (fun (name, n) ->
-      let prior =
-        match List.assoc_opt name before with Some p -> p | None -> 0
-      in
-      if n > prior then Some (name, n - prior) else None)
-    after
-
-let cache_probes t =
+let cache_probes t () =
   Array.fold_left
     (fun (h, m) ctx ->
       match Context.cache ctx with
@@ -253,126 +250,18 @@ let cache_probes t =
           (h + s.Cache.hits, m + s.Cache.misses))
     (0, 0) t.shards
 
-(* the coordinator records the *requested* backend: under
-   [Auto_backend] each shard resolves its own choice inside
-   [Query.dispatch], against its own registry and statistics *)
-let backend_name = function
-  | Query.Direct_backend -> "direct"
-  | Query.Sql_backend_choice -> "sql"
-  | Query.Auto_backend -> "auto"
-
-(* The coordinator's query envelope, mirroring [Query.run_observed]:
-   classify once, scatter, time the gather via [consume], and record the
-   one-per-query metrics and the slow-log entry (with per-shard
-   latencies in the [shards] field).  [consume] is either the full merge
-   ([run]) or the count and bounded top-k selection ([top_k]). *)
+(* One query through [Query.envelope] on shard 0's context: scatter,
+   time the gather via [consume] — the full merge ([run]) or the count
+   and bounded top-k selection ([top_k]) — and hand the per-shard
+   latencies back for the slow-log record. *)
 let run_core ~backend t f consume =
-  let gathered parts =
-    let t0 = Obs.Clock.now () in
-    let r = consume parts in
-    let merge_s = Obs.Clock.now () -. t0 in
-    note_scatter t ~merge_s parts;
-    r
-  in
-  let plain () =
-    match Htl.Classify.check f with
-    | Error reason -> fail "unsupported formula: %s" reason
-    | Ok cls -> gathered (eval_parts ~backend t cls f)
-  in
-  match (t.metrics, t.querylog, t.stats) with
-  | None, None, None -> plain ()
-  | _ ->
-      let t_start = Obs.Clock.now () in
-      Option.iter (fun m -> Obs.Metrics.incr m "query.count") t.metrics;
-      let cache_before =
-        match t.querylog with Some _ -> Some (cache_probes t) | None -> None
-      in
-      let scans_before =
-        match (t.querylog, t.metrics) with
-        | Some _, Some m -> Some (scan_counters m)
-        | _ -> None
-      in
-      let gc_before = Obs.Resource.sample () in
-      let gc = ref Obs.Resource.zero in
-      let cls = ref None in
-      let lats = ref [] in
-      let work () =
-        match Htl.Classify.check f with
-        | Error reason -> fail "unsupported formula: %s" reason
-        | Ok c ->
-            cls := Some c;
-            let parts = eval_parts ~backend t c f in
-            lats := List.mapi (fun i (_, s) -> (i, s)) parts;
-            let r = gathered parts in
-            gc :=
-              Obs.Resource.delta ~before:gc_before
-                ~after:(Obs.Resource.sample ());
-            r
-      in
-      let finish ~error =
-        let latency = Obs.Clock.now () -. t_start in
-        Option.iter
-          (fun m ->
-            if Option.is_some error then Obs.Metrics.incr m "query.errors";
-            Obs.Metrics.observe m "query.latency_s" latency;
-            Obs.Metrics.observe m "query.allocated_words"
-              (Obs.Resource.allocated_words !gc))
-          t.metrics;
-        Option.iter
-          (fun st ->
-            Obs.Stats.record_query st
-              ~fingerprint:(Htl.Hcons.intern_id f)
-              ~formula:(fun () -> Htl.Pretty.to_string f)
-              ~backend:(backend_name backend) ~latency_s:latency
-              ~error:(Option.is_some error))
-          t.stats;
-        match t.querylog with
-        | Some ql when Obs.Querylog.should_log ql ~latency_s:latency ->
-            let hits, misses =
-              match cache_before with
-              | Some (h0, m0) ->
-                  let h1, m1 = cache_probes t in
-                  (h1 - h0, m1 - m0)
-              | None -> (0, 0)
-            in
-            let scans =
-              match (scans_before, t.metrics) with
-              | Some before, Some m -> scan_delta ~before (scan_counters m)
-              | _ -> []
-            in
-            Obs.Querylog.record ql
-              {
-                Obs.Querylog.time_s = t_start;
-                formula_id = Htl.Hcons.intern_id f;
-                formula = Htl.Pretty.to_string f;
-                backend = backend_name backend;
-                cls =
-                  (match !cls with
-                  | Some c -> Htl.Classify.cls_to_string c
-                  | None -> "unsupported");
-                latency_s = latency;
-                cache_hits = hits;
-                cache_misses = misses;
-                segments_scanned = scans;
-                resources = !gc;
-                shards = !lats;
-                trace_id = t.trace_id;
-                error;
-              }
-        | Some _ | None -> ()
-      in
-      (match work () with
-      | r ->
-          finish ~error:None;
-          r
-      | exception e ->
-          finish
-            ~error:
-              (Some
-                 (match e with
-                 | Query.Error msg -> msg
-                 | e -> Printexc.to_string e));
-          raise e)
+  Query.envelope ~backend ~cache_probe:(cache_probes t) t.shards.(0) f
+    (fun ctx0 cls backend ->
+      let parts = eval_parts ~backend t ctx0 cls f in
+      let t0 = Obs.Clock.now () in
+      let r = consume parts in
+      note_scatter t ~merge_s:(Obs.Clock.now () -. t0) parts;
+      (r, List.mapi (fun i (_, s) -> (i, s)) parts))
 
 let run ?(backend = Query.Direct_backend) t f =
   run_core ~backend t f (merge t)
@@ -393,7 +282,7 @@ let run_batch ?(backend = Query.Direct_backend) t ~k fs =
     | r -> Result.Ok r
     | exception Query.Error msg -> Result.Error msg
   in
-  match t.pool with
+  match pool t with
   | Some p when Parallel.Pool.domain_count p > 1 && List.length fs > 1 ->
       Parallel.Pool.parallel_map p one fs
   | _ -> List.map one fs
@@ -412,14 +301,23 @@ let explain ?(backend = Query.Direct_backend) ?(analyze = false) t f =
     else
       match Htl.Classify.check f with
       | Error reason -> fail "unsupported formula: %s" reason
-      | Ok cls -> Some (eval_parts ~backend t cls f)
+      | Ok cls ->
+          (* time uncached evaluations: the rows show each shard's work,
+             and the cache stays as shard 0's analyzed tree finds it *)
+          let cold =
+            { t with shards = Array.map Context.without_cache t.shards }
+          in
+          Some (eval_parts ~backend cold cold.shards.(0) cls f)
   in
   Array.iteri
     (fun i ctx ->
-      let store = store_of ctx in
-      Format.fprintf ppf "  shard %d: videos %d, segments %d, offset %d" i
-        (List.length (Store.videos store))
-        (Store.count_at store ~level:t.level)
+      Format.fprintf ppf "  shard %d: " i;
+      Option.iter
+        (fun store ->
+          Format.fprintf ppf "videos %d, " (List.length (Store.videos store)))
+        ctx.Context.store;
+      Format.fprintf ppf "segments %d, offset %d"
+        (count_of ctx ~level:t.level)
         t.offsets.(i);
       (match parts with
       | Some parts ->
@@ -501,13 +399,15 @@ let refresh_offsets t =
   Array.blit off 0 t.offsets 0 (Array.length t.offsets)
 
 let video_counts t =
-  Array.map (fun ctx -> List.length (Store.videos (store_of ctx))) t.shards
+  Array.map
+    (fun ctx -> List.length (Store.videos (store_of ~what:"ingestion" ctx)))
+    t.shards
 
 let video_count t = Array.fold_left ( + ) 0 (video_counts t)
 
 let append_video t v =
   let last = Array.length t.shards - 1 in
-  Store.append_video (store_of t.shards.(last)) v;
+  Store.append_video (store_of ~what:"ingestion" t.shards.(last)) v;
   refresh_offsets t
 
 let append_segments ?video t metas =
@@ -564,8 +464,8 @@ let load_snapshot ?config ?threshold ?conj_mode ?reorder_joins ?level ?pool
           ~version:(Store.version store) indexes;
         Context.with_registry
           (Context.of_store ?config ?threshold ?conj_mode ?reorder_joins
-             ?level ?pool ?par_cutoff ?metrics ?stats store)
+             ?level ?pool ?par_cutoff ?metrics ?querylog ?stats store)
           registry)
       shards
   in
-  make ~pool ~metrics ~querylog ?stats ctxs
+  make ctxs

@@ -9,6 +9,11 @@
     sequences (per-video extents) never cross a shard boundary —
     temporal operators need no cross-shard communication.
 
+    It is also the only deployment shape: an unsharded store (or a
+    store-less table context) is a one-shard handle ({!of_context}), so
+    the server and the CLI answer every query through one path and one
+    query envelope ({!Engine.Query.envelope}).
+
     A query scatters over the shards (on the {!Parallel.Pool} when one
     is attached), evaluates each shard independently, and gathers the
     per-shard similarity lists at a coordinator.  Shifted by their
@@ -49,13 +54,21 @@ val create :
 (** Partition the store's videos into at most [shards] (default 1)
     contiguous groups of roughly equal leaf-segment weight.  The actual
     shard count can be lower when the store has fewer videos (a video is
-    never split).  [metrics], [stats] and [pool] are shared by every
-    shard context (so per-atom selectivity accumulates across shards);
-    the [querylog] is owned by the coordinator, which records one entry
-    per query with per-shard latencies, and per-fingerprint stats are
-    likewise folded once per query at the coordinator.  Other options
-    are as {!Engine.Context.of_store}.
+    never split).  [metrics], [querylog], [stats] and [pool] are shared
+    by every shard context (so per-atom selectivity accumulates across
+    shards); the coordinator's envelope, on shard 0's context, records
+    one slow-log entry per query with per-shard latencies and folds
+    per-fingerprint stats once per query.  Other options are as
+    {!Engine.Context.of_store}.
     @raise Invalid_argument when [shards < 1]. *)
+
+val of_context : Engine.Context.t -> t
+(** The one-shard handle over a context, which it wraps as is: the
+    store is not copied (an append made directly to it is seen), and
+    the context's cache, registry, pool and observers are the handle's.
+    A store-less table context works too — one level, offset 0 — but
+    {!with_level} and the mutation and ingestion calls then raise
+    [Invalid_argument "... requires a store-backed dataset"]. *)
 
 val shard_count : t -> int
 val level : t -> int
@@ -65,6 +78,11 @@ val segment_count : t -> int
 (** Total segments at the current query level, across shards. *)
 
 val count_at : t -> level:int -> int
+
+val version : t -> int
+(** The sum of the shard store versions (0 for a store-less handle).
+    Every mutation routes to exactly one shard, so after the same
+    mutations this equals the version one unsharded store would read. *)
 
 val contexts : t -> Engine.Context.t array
 (** The per-shard evaluation contexts, in partition order (tests and
@@ -76,7 +94,9 @@ val offsets : t -> int array
 
 val with_level : t -> level:int -> t
 (** Re-aim every shard context at a level (same registries and caches).
-    @raise Invalid_argument when out of range. *)
+    @raise Invalid_argument ["level N out of range 1..L"], or
+    ["\"level\" requires a store-backed dataset"] on a store-less
+    handle. *)
 
 val for_request : ?tracer:Obs.Trace.t -> ?trace_id:string -> t -> t
 (** A request-scoped view of the same handle: every shard context emits
@@ -96,10 +116,14 @@ val run :
   ?backend:Engine.Query.backend -> t -> Htl.Ast.t -> Simlist.Sim_list.t
 (** Evaluate on every shard, shift each shard's entries by its offset
     and coalesce at the shard boundaries — byte-equal to
-    {!Engine.Query.run} over the unsharded store.  With metrics attached, counts [query.count] once
-    (not per shard) plus [shard.queries]/[shard.merge_s]/
-    [shard.imbalance]; with a querylog, slow queries record per-shard
-    latencies in the [shards] field. *)
+    {!Engine.Query.run} over the unsharded store.  One
+    {!Engine.Query.envelope} per query, on shard 0's context: it plans
+    there and resolves [Auto_backend] once, and every shard runs the
+    concrete backend; with a tracer attached the shard evaluations nest
+    as ["shard.scatter"] spans under ["query.run"].  With metrics
+    attached, counts [query.count] once (not per shard) plus
+    [shard.queries]/[shard.merge_s]/[shard.imbalance]; with a querylog,
+    slow queries record per-shard latencies in the [shards] field. *)
 
 val run_string :
   ?backend:Engine.Query.backend -> t -> string -> Simlist.Sim_list.t
@@ -133,13 +157,15 @@ val run_batch :
 
 val explain :
   ?backend:Engine.Query.backend -> ?analyze:bool -> t -> Htl.Ast.t -> string
-(** The scatter–gather plan: one row per shard (videos, segments,
-    global-id offset) and the coordinator merge.  With [~analyze:true]
-    the query actually runs and every shard row carries its wall time
-    and result entry count — skewed shards are visible at a glance — the
-    merge line times {!run}'s gather, and the representative per-shard
-    evaluation tree (shard 0, via {!Engine.Query.explain}) is
-    appended. *)
+(** The scatter–gather plan, the EXPLAIN of every deployment: a header,
+    one row per shard (videos, segments, global-id offset), the
+    coordinator merge, then the representative per-shard evaluation
+    tree (shard 0, via {!Engine.Query.explain}).  With [~analyze:true]
+    the query actually runs and every shard row carries the wall time
+    and result entry count of an uncached evaluation of that shard —
+    skewed shards are visible at a glance — the merge line times
+    {!run}'s gather and the tree carries per-node timings, as
+    {!Engine.Query.explain} would on shard 0 alone. *)
 
 (** {1 Mutation routing}
 

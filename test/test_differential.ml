@@ -358,6 +358,11 @@ let streaming_differential ~seed store f =
   let rng = Workload.Rng.make (seed + 7919) in
   let leaf = Video_model.Store.levels store in
   let check step =
+    if Sharded.version sh <> Video_model.Store.version store then
+      QCheck.Test.fail_reportf
+        "after %d mutations the shard versions sum to %d, the store reads %d"
+        step (Sharded.version sh)
+        (Video_model.Store.version store);
     let rebuilt =
       Context.without_cache
         (Context.of_store

@@ -497,6 +497,28 @@ let ingest_tests =
                 (post "/ingest"
                    (Printf.sprintf "{\"segments\": [%s]}" zebra_segment))));
         ignore (check_status "405" 405 (handle s (get "/ingest"))));
+    test_case "ingest and level on a store-less dataset: 400" `Quick
+      (fun () ->
+        let s = fresh_state () in
+        let error name resp =
+          match Json.member "error" (body_json name (check_status name 400 resp)) with
+          | Some (Json.String msg) -> msg
+          | _ -> Alcotest.failf "%s: no error field" name
+        in
+        check string "level"
+          "\"level\" requires a store-backed dataset"
+          (error "level"
+             (handle s (post "/query" "{\"query\": \"man_woman\", \"level\": 1}")));
+        check string "batch level"
+          "\"level\" requires a store-backed dataset"
+          (error "batch level"
+             (handle s
+                (post "/batch" "{\"queries\": [\"man_woman\"], \"level\": 1}")));
+        check string "ingest" "ingestion requires a store-backed dataset"
+          (error "ingest"
+             (handle s
+                (post "/ingest"
+                   (Printf.sprintf "{\"segments\": [%s]}" zebra_segment)))));
     test_case "ingest: sharded appends route and stay visible" `Quick (fun () ->
         let store =
           Workload.Movies.random_store (Workload.Rng.make 11) ~videos:2
@@ -515,8 +537,10 @@ let ingest_tests =
         let j = body_json "ingest" resp in
         check int "appended" 2 (int_field "ingest" "appended" j);
         check int "leaf_count" (before + 2) (int_field "ingest" "leaf_count" j);
-        check bool "no single-store version in sharded mode" true
-          (Json.member "version" j = None);
+        check int "version sums the shard versions" (Sharded.version sh)
+          (int_field "ingest" "version" j);
+        check int "one bump per append, as one store would read" 1
+          (Sharded.version sh);
         ignore
           (check_status "out-of-range video" 400
              (handle s
@@ -620,6 +644,25 @@ let tracing_tests =
             check bool "replaced with a fresh valid id" true
               (Obs.Traceid.is_valid id && id <> "not-hex!")
         | None -> fail "no X-Trace-Id header");
+    test_case "/trace stamps requests with the observability clock" `Quick
+      (fun () ->
+        Obs.Clock.set_source (fun () -> 1234.5);
+        Fun.protect ~finally:Obs.Clock.use_wall_clock (fun () ->
+            let s =
+              Router.make ~trace_sample:1 (Workload.Casablanca.context ())
+            in
+            ignore
+              (check_status "query" 200
+                 (handle s (post "/query" "{\"query\": \"man_woman\"}")));
+            match
+              body_json "trace list"
+                (check_status "trace list" 200 (handle s (get "/trace")))
+            with
+            | Json.Array (row :: _) ->
+                check (option (float 0.)) "time_s is the clock's reading"
+                  (Some 1234.5)
+                  (Option.bind (Json.member "time_s" row) Json.to_float_opt)
+            | _ -> fail "no retained trace"));
     test_case "a sampled query's span tree round-trips at /trace/<id>" `Quick
       (fun () ->
         let s =

@@ -407,6 +407,90 @@ let unit_tests =
           (Astring.String.is_infix ~affix:"merge: " analyzed));
   ]
 
+(* --- the one-shard handle over a context ------------------------------------ *)
+
+let one_shard_tests =
+  let open Alcotest in
+  let casablanca () = Sharded.of_context (Workload.Casablanca.context ()) in
+  [
+    test_case "store-less top_k = length, top_k of Query.run" `Quick
+      (fun () ->
+        let sh = casablanca () in
+        let ctx = Workload.Casablanca.context () in
+        check int "one level" 1 (Sharded.levels sh);
+        check (array int) "offset 0" [| 0 |] (Sharded.offsets sh);
+        List.iter
+          (fun src ->
+            let f = parse src in
+            let l = Query.run ctx f in
+            List.iter
+              (fun k ->
+                check bool
+                  (Printf.sprintf "%s, k=%d" src k)
+                  true
+                  (Sharded.top_k sh ~k f = (Sim_list.length l, Topk.top_k l ~k)))
+              [ 0; 3; 1000 ])
+          [ Workload.Casablanca.query1; "man_woman until moving_train";
+            "eventually moving_train" ]);
+    test_case "store-less Query 1 reproduces Table 4" `Quick (fun () ->
+        let sh = casablanca () in
+        check
+          (list (pair (testable Simlist.Interval.pp Simlist.Interval.equal)
+                   (float 1e-9)))
+          "matches the paper" Workload.Casablanca.expected_table4
+          (Topk.ranked_intervals
+             (Sharded.run_string sh Workload.Casablanca.query1));
+        let _, top = Sharded.top_k sh ~k:3 (parse Workload.Casablanca.query1) in
+        check (list int) "top-3 ids" [ 1; 2; 3 ] (List.map fst top);
+        check (float 1e-9) "best value" 12.382 (Sim.actual (snd (List.hd top))));
+    test_case "store-less levels and appends are refused" `Quick (fun () ->
+        let sh = casablanca () in
+        check_raises "level"
+          (Invalid_argument "\"level\" requires a store-backed dataset")
+          (fun () -> ignore (Sharded.with_level sh ~level:1));
+        check_raises "ingestion"
+          (Invalid_argument "ingestion requires a store-backed dataset")
+          (fun () -> Sharded.append_segments sh [ Fixtures.shot () ]);
+        check int "version" 0 (Sharded.version sh));
+    test_case "the handle wraps the context's store without copying" `Quick
+      (fun () ->
+        let store = Fixtures.two_movie_store () in
+        let ctx = Context.of_store store in
+        let sh = Sharded.of_context ctx in
+        check bool "same store" true
+          (match (Sharded.contexts sh).(0).Context.store with
+          | Some s -> s == store
+          | None -> false);
+        let n0 = Sharded.segment_count sh in
+        Store.append_segments store [ Fixtures.shot () ];
+        check int "a direct append is seen" (n0 + 1) (Sharded.segment_count sh);
+        check int "and versioned" (Store.version store) (Sharded.version sh);
+        let f = parse q_train in
+        check bool "answers as the context does" true
+          (Sim_list.equal (Sharded.run sh f)
+             (Query.run (Context.without_cache ctx) f)));
+    test_case "auto resolves once at the coordinator" `Quick (fun () ->
+        let store = store_of_seed 71 in
+        let stats = Obs.Stats.create () in
+        let sh = Sharded.create ~shards:2 ~stats store in
+        check int "two shards" 2 (Sharded.shard_count sh);
+        for _ = 1 to 3 do
+          List.iter
+            (fun q ->
+              ignore (Sharded.run ~backend:Query.Auto_backend sh (parse q)))
+            [ q_train; q_mood ]
+        done;
+        let rows = Obs.Stats.backends stats in
+        check bool "some backend recorded" true (rows <> []);
+        List.iter
+          (fun r ->
+            check bool
+              (Printf.sprintf "row %S is concrete" r.Obs.Stats.backend)
+              true
+              (r.Obs.Stats.backend <> "auto"))
+          rows);
+  ]
+
 (* --- ingestion routing ---------------------------------------------------- *)
 
 let shard_versions sh =
@@ -677,6 +761,7 @@ let snapshot_tests =
 let suites =
   [
     ("shard.unit", unit_tests);
+    ("shard.one", one_shard_tests);
     ("shard.ingest", ingest_tests);
     ( "shard.differential",
       [
