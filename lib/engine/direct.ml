@@ -142,16 +142,30 @@ let at_level_extents (ctx : Context.t) ~target =
   (spans, Extent.of_spans spans)
 
 (* lift a level-[target] similarity list back to the parent level: the
-   parent's value is the list's value at its first descendant *)
+   parent's value is the list's value at its first descendant.  The
+   spans tile the target level in parent order, so one walk of the
+   entries serves every parent. *)
 let lift_to_parents spans list =
-  let entries =
-    List.mapi
-      (fun i span ->
-        (Interval.point (i + 1), Sim_list.value_at list (Interval.lo span)))
-      spans
+  let rec go i spans entries acc =
+    match spans with
+    | [] -> List.rev acc
+    | span :: rest ->
+        let first = Interval.lo span in
+        let rec drop = function
+          | (iv, _) :: tl when Interval.hi iv < first -> drop tl
+          | l -> l
+        in
+        let entries = drop entries in
+        let acc =
+          match entries with
+          | (iv, v) :: _ when Interval.lo iv <= first ->
+              (Interval.point i, v) :: acc
+          | _ -> acc
+        in
+        go (i + 1) rest entries acc
   in
   Sim_list.of_entries ~max:(Sim_list.max_sim list)
-    (List.filter (fun (_, v) -> v > 0.) entries)
+    (go 1 spans (Sim_list.entries list) [])
 
 let resolve_level (ctx : Context.t) = function
   | Next_level -> ctx.level + 1

@@ -36,7 +36,10 @@ val at_level_extents :
 val lift_to_parents :
   Simlist.Interval.t list -> Simlist.Sim_list.t -> Simlist.Sim_list.t
 (** Map a target-level similarity list back to the parent level: the
-    parent's value is the list's value at its first descendant. *)
+    parent's value is the list's value at its first descendant.  The
+    spans are the parents' descendant spans in parent order, as
+    {!at_level_extents} returns them (a tiling, so sorted); one walk of
+    the list serves them all, O(p + l). *)
 
 val node_label : Context.t -> Htl.Ast.t -> string
 (** The span name {!eval} records for this node (see DESIGN.md §2.14);

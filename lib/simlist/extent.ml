@@ -59,18 +59,6 @@ let index_containing t i =
 let containing t i = span_at t (index_containing t i)
 let last_of t i = Interval.hi (containing t i)
 
-let split_entries t entries =
-  let rec split (iv, v) acc =
-    let ext = containing t (Interval.lo iv) in
-    match Interval.clip iv ~within:ext with
-    | Some head when Interval.hi head = Interval.hi iv -> (head, v) :: acc
-    | Some head ->
-        let rest = Interval.make (Interval.hi head + 1) (Interval.hi iv) in
-        split (rest, v) ((head, v) :: acc)
-    | None -> assert false
-  in
-  List.rev (List.fold_left (fun acc e -> split e acc) [] entries)
-
 let equal a b = a.total = b.total && a.starts = b.starts
 
 let pp ppf t =

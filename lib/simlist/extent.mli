@@ -38,10 +38,5 @@ val containing : t -> int -> Interval.t
 val last_of : t -> int -> int
 (** [last_of t i] is the last id of the extent containing [i]. *)
 
-val split_entries :
-  t -> (Interval.t * 'a) list -> (Interval.t * 'a) list
-(** Split interval entries at extent boundaries so that no entry spans two
-    extents.  Entries must be sorted and within [1..total]. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

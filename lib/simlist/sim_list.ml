@@ -3,22 +3,50 @@ type t = { max : float; entries : entry list }
 
 let float_tolerance = 1e-9
 
-(* Coalesce adjacent intervals carrying the same value; assumes sorted
-   disjoint entries. *)
-let coalesce entries =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | e :: tl -> (
-        match acc with
-        | (iv0, v0) :: acc_tl
-          when v0 = snd e && Interval.adjacent iv0 (fst e) ->
-            let merged =
-              Interval.make (Interval.lo iv0) (Interval.hi (fst e))
-            in
-            go ((merged, v0) :: acc_tl) tl
-        | _ -> go (e :: acc) tl)
-  in
-  go [] entries
+(* --- canonical output in one pass -------------------------------------
+
+   Every kernel walks its canonical inputs once, left to right, and
+   emits its output pieces in id order.  All but [merge2] (see there)
+   push them onto a reversed accumulator.  The push keeps the
+   accumulator canonical as it goes: empty and non-positive pieces are
+   dropped, values are clamped to [max], and a piece that abuts the
+   previous one with the same value extends it.  The result then needs
+   a [List.rev], never a sort or a second pass. *)
+
+(* [e] starts after the accumulator's last piece and needs no clamp *)
+let push_entry ((iv, v) as e) acc =
+  match acc with
+  | (piv, pv) :: tl when pv = v && Interval.adjacent piv iv ->
+      (Interval.make (Interval.lo piv) (Interval.hi iv), v) :: tl
+  | _ -> e :: acc
+
+let push ~max lo hi v acc =
+  if lo > hi || not (v > 0.) then acc
+  else
+    let v = Float.min v max in
+    match acc with
+    | (piv, pv) :: tl when pv = v && Interval.hi piv + 1 = lo ->
+        (Interval.make (Interval.lo piv) hi, v) :: tl
+    | _ -> (Interval.make lo hi, v) :: acc
+
+let finish ~max acc = { max; entries = List.rev acc }
+
+(* Input that is canonical already (the usual case: kernel outputs,
+   dense conversions, decoded lists) is kept as it is. *)
+let rec canonical ~max = function
+  | [] -> true
+  | [ (_, v) ] -> v > 0. && v <= max
+  | (iv1, v1) :: ((iv2, v2) :: _ as tl) ->
+      v1 > 0. && v1 <= max
+      && Interval.hi iv1 < Interval.lo iv2
+      && (not (v1 = v2 && Interval.adjacent iv1 iv2))
+      && canonical ~max tl
+
+(* each entry ends before the next begins: sorted and disjoint *)
+let rec ordered = function
+  | (iv1, _) :: ((iv2, _) :: _ as tl) ->
+      Interval.hi iv1 < Interval.lo iv2 && ordered tl
+  | [ _ ] | [] -> true
 
 let check_disjoint entries =
   let rec go = function
@@ -34,23 +62,28 @@ let check_disjoint entries =
 
 let of_entries ~max entries =
   if max < 0. then invalid_arg "Sim_list.of_entries: negative max";
-  let entries = List.filter (fun (_, v) -> v > 0.) entries in
-  let entries =
-    List.sort (fun (a, _) (b, _) -> Interval.compare a b) entries
-  in
-  check_disjoint entries;
-  let tolerance = float_tolerance *. Float.max 1. (Float.abs max) in
-  let entries =
-    List.map
-      (fun (iv, v) ->
-        if v > max +. tolerance then
-          invalid_arg
-            (Printf.sprintf "Sim_list.of_entries: actual %g exceeds max %g" v
-               max);
-        (iv, Float.min v max))
-      entries
-  in
-  { max; entries = coalesce entries }
+  if canonical ~max entries then { max; entries }
+  else
+    let entries = List.filter (fun (_, v) -> v > 0.) entries in
+    let entries =
+      if ordered entries then entries
+      else
+        let sorted =
+          List.sort (fun (a, _) (b, _) -> Interval.compare a b) entries
+        in
+        check_disjoint sorted;
+        sorted
+    in
+    let tolerance = float_tolerance *. Float.max 1. (Float.abs max) in
+    finish ~max
+      (List.fold_left
+         (fun acc (iv, v) ->
+           if v > max +. tolerance then
+             invalid_arg
+               (Printf.sprintf "Sim_list.of_entries: actual %g exceeds max %g"
+                  v max);
+           push ~max (Interval.lo iv) (Interval.hi iv) v acc)
+         [] entries)
 
 let empty ~max = of_entries ~max []
 let entries t = t.entries
@@ -89,54 +122,54 @@ let pp ppf t =
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_entry)
     t.entries
 
-(* --- generic two-list sweep --------------------------------------- *)
+(* --- the two-pointer sweep ------------------------------------------ *)
 
-(* The breakpoints of an entry list: each [lo] and [hi + 1], in order.
-   Disjointness makes the resulting sequence non-decreasing. *)
-let breakpoints entries =
-  List.concat_map
-    (fun (iv, _) -> [ Interval.lo iv; Interval.hi iv + 1 ])
-    entries
-
-let rec merge_sorted xs ys =
-  match (xs, ys) with
-  | [], l | l, [] -> l
-  | x :: xtl, y :: ytl ->
-      if x <= y then x :: merge_sorted xtl ys else y :: merge_sorted xs ytl
-
-(* adjacent intervals produce duplicate breakpoints even within one list *)
-let rec dedup = function
-  | a :: (b :: _ as tl) when a = b -> dedup tl
-  | a :: tl -> a :: dedup tl
-  | [] -> []
-
-let merge_unique xs ys = dedup (merge_sorted xs ys)
-
-let rec drop_before p = function
-  | (iv, _) :: tl when Interval.hi iv < p -> drop_before p tl
-  | l -> l
-
-let head_value p = function
-  | (iv, v) :: _ when Interval.contains iv p -> v
-  | _ -> 0.
-
-(* Sweep the union of both breakpoint sets; [combine va vb] gives the
-   output value on each elementary piece (0 values are dropped).
-   [combine 0. 0.] must be <= 0 for the output to stay sparse. *)
+(* One walk over both canonical entry lists, cutting at each entry
+   boundary as it comes: [combine va vb] is emitted for every stretch
+   where at least one side is non-zero.  Stretches where both are zero
+   are skipped, so [combine 0. 0.] must be <= 0.  [pos] is the first id
+   not yet swept; every entry left in [la] and [lb] ends at or after it.
+   This is the kernel behind every conjunction and max-merge, so unlike
+   the others it builds its output front to back (tail-mod-cons) rather
+   than reversing an accumulator: the piece [[plo, phi]] with value [pv]
+   is held back until the next one shows whether it extends it ([pv =
+   0.] when nothing is held). *)
 let merge2 ~max combine la lb =
-  let bps = merge_unique (breakpoints la) (breakpoints lb) in
-  let rec go bps la lb acc =
-    match bps with
-    | [] | [ _ ] -> List.rev acc
-    | p :: (q :: _ as rest) ->
-        let la = drop_before p la and lb = drop_before p lb in
-        let v = combine (head_value p la) (head_value p lb) in
-        let acc =
-          if v > 0. then (Interval.make p (q - 1), v) :: acc else acc
+  let[@tail_mod_cons] rec go pos la lb plo phi pv =
+    match (la, lb) with
+    | [], [] -> if pv > 0. then [ (Interval.make plo phi, pv) ] else []
+    | (ia, va) :: ta, [] ->
+        emit (Interval.hi ia + 1) ta [] plo phi pv
+          (Int.max pos (Interval.lo ia))
+          (Interval.hi ia) (combine va 0.)
+    | [], (ib, vb) :: tb ->
+        emit (Interval.hi ib + 1) [] tb plo phi pv
+          (Int.max pos (Interval.lo ib))
+          (Interval.hi ib) (combine 0. vb)
+    | (ia, va) :: ta, (ib, vb) :: tb ->
+        let alo = Int.max pos (Interval.lo ia)
+        and blo = Int.max pos (Interval.lo ib) in
+        let lo = Int.min alo blo in
+        let a_in = alo = lo and b_in = blo = lo in
+        let hi =
+          Int.min
+            (if a_in then Interval.hi ia else alo - 1)
+            (if b_in then Interval.hi ib else blo - 1)
         in
-        go rest la lb acc
+        emit (hi + 1)
+          (if hi = Interval.hi ia then ta else la)
+          (if hi = Interval.hi ib then tb else lb)
+          plo phi pv lo hi
+          (combine (if a_in then va else 0.) (if b_in then vb else 0.))
+  and[@tail_mod_cons] emit pos la lb plo phi pv lo hi v =
+    if not (v > 0.) then go pos la lb plo phi pv
+    else
+      let v = Float.min v max in
+      if pv = v && phi + 1 = lo then go pos la lb plo hi pv
+      else if pv > 0. then (Interval.make plo phi, pv) :: go pos la lb lo hi v
+      else go pos la lb lo hi v
   in
-  of_entries ~max (go bps la lb [])
+  { max; entries = go min_int la lb 0 0 0. }
 
 (* --- the paper's operations ---------------------------------------- *)
 
@@ -165,156 +198,111 @@ let conjunction_many = function
   | [] -> invalid_arg "Sim_list.conjunction_many: empty"
   | first :: rest -> List.fold_left conjunction first rest
 
+(* Id [i] reads its successor: entry [[lo, hi]] moves to [[lo-1, hi-1]],
+   cut where it would cross into an earlier extent, which drops the last
+   id of every extent. *)
 let next_shift ~extents t =
-  let entries = Extent.split_entries extents t.entries in
-  let shifted =
-    List.filter_map
-      (fun (iv, v) ->
-        let ext = Extent.containing extents (Interval.lo iv) in
-        (* positions that see [iv] as their successor, within the same
-           extent: ids [lo-1 .. hi-1] clipped to [ext.lo .. ext.hi - 1] *)
-        if Interval.hi ext = Interval.lo ext then None
-        else
-          let window =
-            Interval.make (Interval.lo ext) (Interval.hi ext - 1)
-          in
-          Option.map
-            (fun iv' -> (iv', v))
-            (Interval.clip (Interval.shift (-1) iv) ~within:window))
-      entries
+  let rec piece lo hi v acc =
+    let ext = Extent.containing extents lo in
+    let ext_hi = Interval.hi ext in
+    let acc =
+      push ~max:t.max
+        (Int.max (lo - 1) (Interval.lo ext))
+        (Int.min hi ext_hi - 1) v acc
+    in
+    if hi > ext_hi then piece (ext_hi + 1) hi v acc else acc
   in
-  of_entries ~max:t.max shifted
-
-(* Full piecewise-constant coverage of [window] by the (clipped, sorted,
-   disjoint) entries, inserting explicit zero-valued gap pieces. *)
-let pieces_within window entries =
-  let lo = Interval.lo window and hi = Interval.hi window in
-  let clipped =
-    List.filter_map
-      (fun (iv, v) ->
-        Option.map (fun c -> (c, v)) (Interval.clip iv ~within:window))
-      entries
-  in
-  let rec go pos = function
-    | [] -> if pos <= hi then [ (Interval.make pos hi, 0.) ] else []
-    | (iv, v) :: tl ->
-        let gap =
-          if pos < Interval.lo iv then
-            [ (Interval.make pos (Interval.lo iv - 1), 0.) ]
-          else []
-        in
-        gap @ ((iv, v) :: go (Interval.hi iv + 1) tl)
-  in
-  go lo clipped
-
-(* Suffix maximum of the step function given by [entries] over [window]:
-   at id [i] the result is the max value at any id in [[i, window.hi]].
-   Constant on each piece, so compute right-to-left over the pieces. *)
-let suffix_max_pieces window entries =
-  let pieces = pieces_within window entries in
-  let rec go = function
-    | [] -> ([], 0.)
-    | (iv, v) :: tl ->
-        let rest, best_after = go tl in
-        let best = Float.max v best_after in
-        ((iv, best) :: rest, best)
-  in
-  fst (go pieces)
+  finish ~max:t.max
+    (List.fold_left
+       (fun acc (iv, v) -> piece (Interval.lo iv) (Interval.hi iv) v acc)
+       [] t.entries)
 
 let default_threshold = 0.5
 
-(* Distribute (already split) entries over the extent spans in one
-   left-to-right pass: returns per-span entry lists, in span order. *)
-let group_by_extent spans entries =
-  let rec go spans entries acc =
-    match spans with
-    | [] -> List.rev acc
-    | ext :: spans_tl ->
-        let rec take l inside =
-          match l with
-          | ((iv, _) as e) :: tl when Interval.hi iv <= Interval.hi ext ->
-              take tl (e :: inside)
-          | _ -> (List.rev inside, l)
-        in
-        let inside, rest = take entries [] in
-        go spans_tl rest ((ext, inside) :: acc)
+let rec drop_through id = function
+  | (iv, _) :: tl when Interval.hi iv <= id -> drop_through id tl
+  | l -> l
+
+(* h's own value at every id of [[pos, upto]] (the until semantics allow
+   [u'' = u]).  Returns the entries that reach past [upto]. *)
+let rec self ~max pos upto hs acc =
+  match hs with
+  | ((iv, v) as e) :: tl when Interval.lo iv <= upto ->
+      let hi = Interval.hi iv in
+      if hi > upto then
+        (hs, push ~max (Int.max pos (Interval.lo iv)) upto v acc)
+      else if pos <= Interval.lo iv then self ~max pos upto tl (push_entry e acc)
+      else self ~max pos upto tl (push ~max pos hi v acc)
+  | _ -> (hs, acc)
+
+(* Inside a corridor [[b, e]] whose window ends at [w] (e or e+1): at
+   id [i] the best h value in [[i, w]].  [hs] are h's entries from the
+   first one that ends at or after [b].  The window's entries are
+   gathered rightmost first, then read right to left: there the running
+   maximum only grows, so each larger value opens a new run and the runs
+   come out coalesced, left to right. *)
+let suffix_max ~b ~e ~w hs acc =
+  let rec gather rin = function
+    | ((iv, _) as en) :: tl when Interval.lo iv <= w -> gather (en :: rin) tl
+    | _ -> rin
   in
-  go spans entries []
+  let run lo hi best out =
+    if best > 0. && lo <= hi then (Interval.make lo hi, best) :: out else out
+  in
+  let rec runs run_hi best out = function
+    | [] -> run b run_hi best out
+    | (iv, v) :: tl ->
+        if v > best then
+          let hi = Int.min w (Interval.hi iv) in
+          runs (Int.min hi e) v (run (hi + 1) run_hi best out) tl
+        else runs run_hi best out tl
+  in
+  List.fold_left
+    (fun acc en -> push_entry en acc)
+    acc
+    (runs e 0. [] (gather [] hs))
+
+(* The run of ids [[b, e]] cut at extent ends into corridors: h's own
+   value up to each corridor, the suffix maximum inside it. *)
+let rec corridors ~max ~extents pos b e hs acc =
+  match hs with
+  | [] -> ([], acc)
+  | _ ->
+      let ext_hi = Extent.last_of extents b in
+      let ce = Int.min e ext_hi in
+      let hs, acc = self ~max pos (b - 1) hs acc in
+      let acc = suffix_max ~b ~e:ce ~w:(Int.min (ce + 1) ext_hi) hs acc in
+      let hs = drop_through ce hs in
+      if ce < e then corridors ~max ~extents (ce + 1) (ce + 1) e hs acc
+      else (hs, acc)
 
 let until_merge ?(threshold = default_threshold) ~extents g h =
-  let spans = Extent.spans extents in
-  let g_groups = group_by_extent spans (Extent.split_entries extents g.entries)
-  and h_groups =
-    group_by_extent spans (Extent.split_entries extents h.entries)
+  let max = h.max in
+  let above v = g.max > 0. && v /. g.max >= threshold in
+  (* the last id of the above-threshold run that reaches [e] *)
+  let rec run_end e = function
+    | (iv, v) :: tl when Interval.lo iv = e + 1 && above v ->
+        run_end (Interval.hi iv) tl
+    | gs -> (e, gs)
   in
-  let result_per_extent (ext, g_in) (_, h_in) =
-    (* corridors: g ids at or above the threshold, coalesced *)
-    let above =
-      List.filter
-        (fun (_, v) -> g.max > 0. && v /. g.max >= threshold)
-        g_in
-    in
-    let corridors =
-      List.map fst (coalesce (List.map (fun (iv, _) -> (iv, 1.)) above))
-    in
-    (* inside a corridor [b,e]: suffix max of h over [i, e+1].  Corridor
-       windows are disjoint and increasing, so walk corridors and h
-       entries in tandem (an h entry can span several windows and is then
-       revisited, but each revisit is O(1) per window). *)
-    let corridor_entries =
-      let rec walk corridors h_entries acc =
-        match corridors with
-        | [] -> List.concat (List.rev acc)
-        | corridor :: rest ->
-            let window_hi = min (Interval.hi corridor + 1) (Interval.hi ext) in
-            let window = Interval.make (Interval.lo corridor) window_hi in
-            let rec drop = function
-              | (iv, _) :: tl when Interval.hi iv < Interval.lo window ->
-                  drop tl
-              | l -> l
-            in
-            let h_entries = drop h_entries in
-            let rec take l taken =
-              match l with
-              | ((iv, _) as e) :: tl
-                when Interval.lo iv <= Interval.hi window ->
-                  take tl (e :: taken)
-              | _ -> List.rev taken
-            in
-            let inside = take h_entries [] in
-            let sm = suffix_max_pieces window inside in
-            let clipped =
-              List.filter_map
-                (fun (iv, v) ->
-                  if v <= 0. then None
-                  else
-                    Option.map (fun c -> (c, v))
-                      (Interval.clip iv ~within:corridor))
-                sm
-            in
-            walk rest h_entries (clipped :: acc)
-      in
-      walk corridors h_in []
-    in
-    (* outside corridors: h at the id itself (u'' = u) *)
-    let self_entries =
-      List.filter_map
-        (fun (iv, v) ->
-          Option.map (fun c -> (c, v)) (Interval.clip iv ~within:ext))
-        h_in
-    in
-    (merge2 ~max:h.max Float.max corridor_entries self_entries).entries
+  let rec go pos gs hs acc =
+    match (gs, hs) with
+    | _, [] -> acc
+    | [], _ -> snd (self ~max pos max_int hs acc)
+    | (_, v) :: tl, _ when not (above v) -> go pos tl hs acc
+    | (iv, _) :: tl, _ ->
+        let e, tl = run_end (Interval.hi iv) tl in
+        let hs, acc = corridors ~max ~extents pos (Interval.lo iv) e hs acc in
+        go (e + 1) tl hs acc
   in
-  let all = List.concat (List.map2 result_per_extent g_groups h_groups) in
-  of_entries ~max:h.max all
+  finish ~max (go min_int g.entries h.entries [])
 
+(* [true until t]: every extent is one corridor *)
 let eventually ~extents t =
-  let spans = Extent.spans extents in
-  let groups = group_by_extent spans (Extent.split_entries extents t.entries) in
-  let per_extent (ext, within) =
-    List.filter (fun (_, v) -> v > 0.) (suffix_max_pieces ext within)
-  in
-  of_entries ~max:t.max (List.concat_map per_extent groups)
+  finish ~max:t.max
+    (snd
+       (corridors ~max:t.max ~extents min_int 1 (Extent.total extents)
+          t.entries []))
 
 let check_same_max ?(fn = "merge_max") = function
   | [] -> invalid_arg (Printf.sprintf "Sim_list.%s: empty" fn)
@@ -353,8 +341,7 @@ let restrict t spans =
     (fun v ind -> if ind > 0. then v else 0.)
     t.entries indicator
 
-let scale_max t ~max =
-  of_entries ~max (List.map (fun (iv, v) -> (iv, v)) t.entries)
+let scale_max t ~max = of_entries ~max t.entries
 
 (* --- concatenating shifted lists -------------------------------------- *)
 

@@ -9,7 +9,10 @@
 
     Canonical form (maintained by every operation): entries sorted by
     interval, pairwise disjoint, actual values in [(0, max]], and no two
-    adjacent intervals carrying the same value. *)
+    adjacent intervals carrying the same value.  Every operation below
+    reads its canonical inputs in one left-to-right pass and builds
+    canonical output as it goes, with no re-sort and no second
+    normalisation pass. *)
 
 type t
 
@@ -19,8 +22,11 @@ val empty : max:float -> t
 (** No segment has non-zero similarity. *)
 
 val of_entries : max:float -> entry list -> t
-(** Builds a canonical list: sorts, drops non-positive values, coalesces
-    adjacent equal-valued intervals.
+(** Builds a canonical list: drops non-positive values, clamps values
+    within float tolerance above [max], coalesces adjacent equal-valued
+    intervals.  Canonical input is kept as it is and ordered input is
+    not sorted: one O(n) check, and an O(n log n) sort only for input
+    out of order.
     @raise Invalid_argument if intervals overlap, if an actual value
     exceeds [max] (beyond float tolerance), or if [max < 0]. *)
 
@@ -73,7 +79,8 @@ val conjunction_many : t list -> t
 val next_shift : extents:Extent.t -> t -> t
 (** [f = next g]: entry intervals shift left by one, clipped so that no
     id reads its successor across an extent boundary; the last id of each
-    extent gets similarity 0.  O(|g|). *)
+    extent gets similarity 0.  O(|g|), plus a binary search over the
+    extents per entry. *)
 
 val until_merge : ?threshold:float -> extents:Extent.t -> t -> t -> t
 (** [until_merge ~extents g h] is [f = g until h] (§3.1): g entries whose fractional similarity is
@@ -82,11 +89,12 @@ val until_merge : ?threshold:float -> extents:Extent.t -> t -> t -> t
     actual h value at any id in [[i, e+1]] (clipped to the extent); ids
     outside every corridor keep the h value at the id itself (the until
     semantics allow [u'' = u]).  Result max is [max_sim h].
-    O(|g| + |h|) per extent. *)
+    O(|g| + |h|) in one pass, plus a binary search over the extents per
+    corridor. *)
 
 val eventually : extents:Extent.t -> t -> t
 (** [f = eventually g = true until g]: per-extent suffix maximum.
-    O(|g|). *)
+    O(|g|), plus a binary search per extent. *)
 
 val merge_max : t list -> t
 (** Pointwise maximum of m lists sharing one [max] — the final step of

@@ -120,13 +120,6 @@ let extent_tests =
           ignore (Extent.of_spans [ iv 1 3; iv 5 6 ]);
           fail "expected Invalid_argument"
         with Invalid_argument _ -> ());
-    test_case "split_entries cuts at boundaries" `Quick (fun () ->
-        let e = Extent.of_lengths [ 3; 3; 3 ] in
-        check
-          (list (pair interval_testable (float 0.)))
-          "split"
-          [ (iv 2 3, 1.); (iv 4 6, 1.); (iv 7 8, 1.) ]
-          (Extent.split_entries e [ (iv 2 8, 1.) ]));
   ]
 
 (* --- Sim_list: construction and canonical form ------------------------ *)
@@ -445,6 +438,228 @@ let merge_tests =
         with Invalid_argument _ -> ());
   ]
 
+(* --- Sim_list: every kernel against the dense oracle -------------------- *)
+
+(* Raw entries over ids [1..n]: sorted and disjoint, with the shapes the
+   canonical form has to absorb — single-id intervals, equal values that
+   abut, values at the [max + tolerance] clamp edge — and, often, none
+   at all.  [None] repeats the previous value, so abutting equal values
+   come up on most draws. *)
+let gen_raw ~n ~max =
+  let open QCheck.Gen in
+  let edge = max +. (1e-9 *. Float.max 1. (Float.abs max)) in
+  let value =
+    frequency
+      [
+        (5, map (fun k -> Some (float_of_int k *. max /. 8.)) (int_range 1 8));
+        (1, return (Some max));
+        (1, return (Some edge));
+        (2, return None);
+      ]
+  in
+  let piece =
+    triple (int_range 0 2)
+      (frequency [ (3, return 1); (2, int_range 2 5) ])
+      value
+  in
+  let layout pieces =
+    let rec go pos prev acc = function
+      | [] -> List.rev acc
+      | (gap, len, v) :: tl ->
+          let lo = pos + gap in
+          let hi = lo + len - 1 in
+          let v = Option.value v ~default:prev in
+          if hi > n then List.rev acc
+          else go (hi + 1) v ((iv lo hi, v) :: acc) tl
+    in
+    go 1 (max /. 2.) [] pieces
+  in
+  frequency
+    [ (1, return []); (5, map layout (list_size (int_range 1 n) piece)) ]
+
+(* the raw entries as a dense array, clamped to [max] as of_entries does *)
+let dense_of_raw ~n ~max raw =
+  let a = Array.make n 0. in
+  List.iter
+    (fun (i, v) ->
+      for id = Interval.lo i to Interval.hi i do
+        a.(id - 1) <- Float.min v max
+      done)
+    raw;
+  a
+
+let maxima = [ 1.; 5.; 8. ]
+
+type kernel_case = {
+  n : int;
+  extents : Extent.t;
+  max_a : float;
+  raw_a : Sim_list.entry list;
+  max_b : float;
+  raw_b : Sim_list.entry list;
+}
+
+let arb_kernel_case ?(same_max = false) () =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 40 >>= fun n ->
+    gen_extents ~n >>= fun extents ->
+    oneofl maxima >>= fun max_a ->
+    (if same_max then return max_a else oneofl maxima) >>= fun max_b ->
+    gen_raw ~n ~max:max_a >>= fun raw_a ->
+    map
+      (fun raw_b -> { n; extents; max_a; raw_a; max_b; raw_b })
+      (gen_raw ~n ~max:max_b)
+  in
+  let print c =
+    let pp_raw raw =
+      String.concat " "
+        (List.map
+           (fun (i, v) -> Printf.sprintf "%s:%h" (Interval.to_string i) v)
+           raw)
+    in
+    Format.asprintf "n=%d %a a(max %g)=[%s] b(max %g)=[%s]" c.n Extent.pp
+      c.extents c.max_a (pp_raw c.raw_a) c.max_b (pp_raw c.raw_b)
+  in
+  QCheck.make ~print gen
+
+let list_a c = Sim_list.of_entries ~max:c.max_a c.raw_a
+let list_b c = Sim_list.of_entries ~max:c.max_b c.raw_b
+let dense_a c = dense_of_raw ~n:c.n ~max:c.max_a c.raw_a
+let dense_b c = dense_of_raw ~n:c.n ~max:c.max_b c.raw_b
+
+(* [l] has exactly the oracle's values, and its entries are the one
+   canonical form of them *)
+let matches ~n expected l =
+  Sim_list.to_dense ~n l = expected
+  && Sim_list.equal l (Sim_list.of_dense ~max:(Sim_list.max_sim l) expected)
+
+let dense_conj_mode mode ~max_a ~max_b a b =
+  let m = max_a +. max_b in
+  let frac max v = if max = 0. then 1. else v /. max in
+  Array.map2
+    (fun va vb ->
+      let v =
+        match (mode : Sim_list.conj_mode) with
+        | Weighted_sum -> va +. vb
+        | Min_fraction -> Float.min (frac max_a va) (frac max_b vb) *. m
+        | Product_fraction -> frac max_a va *. frac max_b vb *. m
+      in
+      if v > 0. then Float.min v m else 0.)
+    a b
+
+let conj_modes =
+  [
+    ("weighted sum", Sim_list.Weighted_sum);
+    ("min fraction", Sim_list.Min_fraction);
+    ("product fraction", Sim_list.Product_fraction);
+  ]
+
+let shuffle_list seed l =
+  let st = Random.State.make [| seed |] in
+  List.map snd
+    (List.sort compare (List.map (fun e -> (Random.State.bits st, e)) l))
+
+let kernel_tests =
+  let open Alcotest in
+  let raises msg f =
+    check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  List.map
+    (fun (name, mode) ->
+      qtest
+        (Printf.sprintf "conjunction (%s) matches the dense oracle" name)
+        (fun c ->
+          matches ~n:c.n
+            (dense_conj_mode mode ~max_a:c.max_a ~max_b:c.max_b (dense_a c)
+               (dense_b c))
+            (Sim_list.conjunction_mode mode (list_a c) (list_b c)))
+        (arb_kernel_case ()))
+    conj_modes
+  @ [
+      qtest "of_entries canonicalises: clamps, coalesces, sorts"
+        (fun c ->
+          let expected = dense_a c in
+          matches ~n:c.n expected (list_a c)
+          && Sim_list.equal (list_a c)
+               (Sim_list.of_entries ~max:c.max_a
+                  (shuffle_list c.n c.raw_a)))
+        (arb_kernel_case ());
+      qtest "merge_max matches the dense oracle"
+        (fun c ->
+          matches ~n:c.n
+            (Array.map2 Float.max (dense_a c) (dense_b c))
+            (Sim_list.merge_max [ list_a c; list_b c ]))
+        (arb_kernel_case ~same_max:true ());
+      qtest "restrict matches the dense oracle"
+        (fun c ->
+          let spans = List.map fst c.raw_b in
+          let inside id = List.exists (fun s -> Interval.contains s id) spans in
+          matches ~n:c.n
+            (Array.mapi
+               (fun i v -> if inside (i + 1) then v else 0.)
+               (dense_a c))
+            (Sim_list.restrict (list_a c) spans))
+        (arb_kernel_case ());
+      qtest "until matches the dense oracle at several thresholds"
+        (fun (c, threshold) ->
+          matches ~n:c.n
+            (dense_until ~threshold ~extents:c.extents ~gmax:c.max_a
+               (dense_a c) (dense_b c))
+            (Sim_list.until_merge ~threshold ~extents:c.extents (list_a c)
+               (list_b c)))
+        (QCheck.pair (arb_kernel_case ())
+           (QCheck.oneofl [ 0.25; 0.5; 0.75; 1.0 ]));
+      qtest "eventually matches the dense oracle"
+        (fun c ->
+          matches ~n:c.n
+            (dense_eventually ~extents:c.extents (dense_a c))
+            (Sim_list.eventually ~extents:c.extents (list_a c)))
+        (arb_kernel_case ());
+      qtest "next matches the dense oracle"
+        (fun c ->
+          matches ~n:c.n
+            (dense_next ~extents:c.extents (dense_a c))
+            (Sim_list.next_shift ~extents:c.extents (list_a c)))
+        (arb_kernel_case ());
+      qtest "lift_to_parents matches the dense oracle"
+        (fun c ->
+          let spans = Extent.spans c.extents in
+          let a = dense_a c in
+          matches ~n:(List.length spans)
+            (Array.of_list (List.map (fun s -> a.(Interval.lo s - 1)) spans))
+            (Engine.Direct.lift_to_parents spans (list_a c)))
+        (arb_kernel_case ());
+      test_case "of_entries errors keep their messages" `Quick (fun () ->
+          raises "Sim_list.of_entries: negative max" (fun () ->
+              sl ~max:(-1.) []);
+          raises "Sim_list: overlapping intervals [1,4] and [4,5]" (fun () ->
+              sl ~max:10. [ (4, 5, 2.); (1, 4, 1.) ]);
+          raises "Sim_list: overlapping intervals [1,4] and [4,5]" (fun () ->
+              sl ~max:1. [ (1, 4, 1.); (4, 5, 2.) ]);
+          raises "Sim_list.of_entries: actual 2 exceeds max 1" (fun () ->
+              sl ~max:1. [ (1, 2, 1.); (3, 3, 2.) ]);
+          check int "zero-valued overlaps are dropped, not rejected" 1
+            (Sim_list.length (sl ~max:1. [ (1, 4, 0.); (2, 3, 1.) ])));
+      test_case "conjunction and merge_max allocate O(1) words per entry"
+        `Quick (fun () ->
+          (* a count, not a timing: an intermediate list or a re-sort of
+             the output costs hundreds of words per entry *)
+          let rng = Workload.Rng.make 100_000 in
+          let mk () = Workload.Synthetic.similarity_list rng ~n:5_000_000 () in
+          let a = mk () and b = mk () in
+          let w0 = Gc.minor_words () in
+          ignore (Sim_list.conjunction a b);
+          ignore (Sim_list.merge_max [ a; b ]);
+          let words = Gc.minor_words () -. w0 in
+          let per_entry =
+            words /. float_of_int (Sim_list.length a + Sim_list.length b)
+          in
+          check bool
+            (Printf.sprintf "%.1f minor words per input entry <= 100" per_entry)
+            true (per_entry <= 100.));
+    ]
+
 (* --- Range ------------------------------------------------------------- *)
 
 let range_tests =
@@ -638,6 +853,7 @@ let suites =
     ("sim_list.next", next_tests);
     ("sim_list.until", until_tests);
     ("sim_list.merge", merge_tests);
+    ("sim_list.kernels", kernel_tests);
     ("range", range_tests);
     ("sim_table", table_tests);
   ]
