@@ -24,16 +24,15 @@ let default_config =
     prune = true;
   }
 
-(* Evaluation environments: an object variable bound to [None] is a
-   wildcard — it stands for any object that appears nowhere in the data,
-   so every condition involving it scores 0.  An attribute variable bound
-   to [None] had an undefined attribute function frozen into it. *)
+(* Evaluation environments of the interpreter: an object variable bound
+   to [None] is a wildcard — it stands for any object that appears
+   nowhere in the data, so every condition involving it scores 0.  An
+   attribute variable bound to [None] had an undefined attribute
+   function frozen into it. *)
 type env = {
   objs : (string * int option) list;
   attrs : (string * Metadata.Value.t option) list;
 }
-
-
 
 let obj_binding env x =
   match List.assoc_opt x env.objs with Some b -> b | None -> None
@@ -48,7 +47,12 @@ let rec validate = function
       unsupported "temporal operator inside an atomic formula"
   | At_level _ -> unsupported "level operator inside an atomic formula"
 
-(* --- scoring ---------------------------------------------------------- *)
+(* --- the interpreter ---------------------------------------------------- *)
+
+(* [score] re-reads the formula at every segment.  It is reached only
+   through [score_at]: the independent oracle the staged scorer below is
+   tested against.  Both evaluate operands left to right, so a formula
+   with two unbound attribute variables fails on the same one. *)
 
 let eval_term store ~level ~env ~id = function
   | Const v -> Some v
@@ -96,17 +100,18 @@ let credit cfg store ~level ~env ~id atom =
               | None -> 0.)
           | None -> 0.)
       | None -> (
-          match
-            ( eval_term store ~level ~env ~id t1,
-              eval_term store ~level ~env ~id t2 )
-          with
+          let v1 = eval_term store ~level ~env ~id t1 in
+          let v2 = eval_term store ~level ~env ~id t2 in
+          match (v1, v2) with
           | Some v1, Some v2 -> if Htl.Exact.eval_cmp cmp v1 v2 then 1. else 0.
           | _, _ -> 0.))
 
 let rec score cfg store ~level ~env ~id = function
   | Atom a -> Weights.atom_weight cfg.weights a *. credit cfg store ~level ~env ~id a
   | And (f, g) ->
-      score cfg store ~level ~env ~id f +. score cfg store ~level ~env ~id g
+      let a = score cfg store ~level ~env ~id f in
+      let b = score cfg store ~level ~env ~id g in
+      a +. b
   | Exists (x, body) ->
       (* best local witness; the wildcard covers objects absent here *)
       let meta = Store.meta store ~level ~id in
@@ -142,6 +147,259 @@ let rec score cfg store ~level ~env ~id = function
             ~id body)
   | (Or _ | Not _ | Next _ | Until _ | Eventually _ | At_level _) as f ->
       unsupported "cannot score %s" (Htl.Pretty.to_string f)
+
+(* --- the staged scorer -------------------------------------------------- *)
+
+(* [compile] turns a validated formula, once per evaluation, into a
+   closure over (segment meta-data, slot environment).  Variables are
+   resolved to slot indices, each binder getting a slot of its own; atom
+   weights and type credits are read at compile time; the meta-data is
+   searched by the non-allocating helpers below, which answer [absent]
+   or [no_entity] where the [Seg_meta] accessors answer [None].  Every
+   score equals the interpreter's bit for bit: the same float operations
+   in the same order. *)
+
+module Value = Metadata.Value
+module Entity = Metadata.Entity
+
+(* allocated here, so no stored value or object is physically equal *)
+let absent = Value.Str (String.make 1 '\000')
+let no_entity = Entity.make ~id:0 ~otype:(String.make 1 '\000') ()
+
+(* An object slot whose [bound] flag is off is a wildcard; an attribute
+   slot holding [absent] had an undefined attribute frozen into it. *)
+type slots = { bound : bool array; oids : int array; vals : Value.t array }
+
+let rec find_entity oid = function
+  | [] -> no_entity
+  | (o : Entity.t) :: tl -> if o.id = oid then o else find_entity oid tl
+
+let rec find_value q = function
+  | [] -> absent
+  | (k, v) :: tl -> if String.equal k q then v else find_value q tl
+
+(* the object of slot [s] at this segment: [no_entity] for a wildcard or
+   an object absent here *)
+let slot_entity (meta : Seg_meta.t) env s =
+  if env.bound.(s) then find_entity env.oids.(s) meta.objects else no_entity
+
+(* [Entity.attr], staged on the attribute name *)
+let entity_attr = function
+  | "type" -> fun (o : Entity.t) -> Value.Str o.otype
+  | "id" -> fun (o : Entity.t) -> Value.Int o.id
+  | q -> fun (o : Entity.t) -> find_value q o.attrs
+
+(* [Value.compare_num] without the options: [incomparable] for
+   non-numeric operands *)
+let incomparable = 2
+
+let compare_values (v1 : Value.t) (v2 : Value.t) =
+  match (v1, v2) with
+  | Int a, Int b -> Float.compare (float_of_int a) (float_of_int b)
+  | Int a, Float b -> Float.compare (float_of_int a) b
+  | Float a, Int b -> Float.compare a (float_of_int b)
+  | Float a, Float b -> Float.compare a b
+  | (Int _ | Float _ | Str _ | Bool _), _ -> incomparable
+
+(* [Htl.Exact.eval_cmp], staged on the operator *)
+let holds_cmp cmp =
+  let ordered test v1 v2 =
+    let c = compare_values v1 v2 in
+    c <> incomparable && test c
+  in
+  match cmp with
+  | Eq -> Value.equal
+  | Ne -> fun v1 v2 -> not (Value.equal v1 v2)
+  | Lt -> ordered (fun c -> c < 0)
+  | Le -> ordered (fun c -> c <= 0)
+  | Gt -> ordered (fun c -> c > 0)
+  | Ge -> ordered (fun c -> c >= 0)
+
+let rec all_bound env slots i =
+  i = Array.length slots || (env.bound.(slots.(i)) && all_bound env slots (i + 1))
+
+(* [Relationship.equal] against the objects bound to [slots] *)
+let rec args_match env slots i = function
+  | [] -> i = Array.length slots
+  | a :: tl ->
+      i < Array.length slots
+      && a = env.oids.(slots.(i))
+      && args_match env slots (i + 1) tl
+
+let rec stored name env slots = function
+  | [] -> false
+  | (r : Metadata.Relationship.t) :: tl ->
+      (String.equal r.name name && args_match env slots 0 r.args)
+      || stored name env slots tl
+
+(* [Spatial.holds]' bounding-box arm for the two objects of [slots] *)
+let derived_holds r (meta : Seg_meta.t) env slots =
+  let a = find_entity env.oids.(slots.(0)) meta.objects
+  and b = find_entity env.oids.(slots.(1)) meta.objects in
+  a != no_entity && b != no_entity
+  &&
+  match (a.bbox, b.bbox) with
+  | Some ba, Some bb -> Spatial.derive r ba bb
+  | _, _ -> false
+
+(* [exists]: the best of the wildcard and of every object present here,
+   folded in the interpreter's order *)
+let rec witnesses body s meta env best = function
+  | [] -> best
+  | (o : Entity.t) :: tl ->
+      env.oids.(s) <- o.id;
+      witnesses body s meta env (Float.max best (body meta env)) tl
+
+let best_witness body s (meta : Seg_meta.t) env =
+  env.bound.(s) <- false;
+  let best = Float.max 0. (body meta env) in
+  env.bound.(s) <- true;
+  witnesses body s meta env best meta.objects
+
+type compiled = {
+  n_objs : int;
+  n_vals : int;
+  run : Seg_meta.t -> slots -> float;
+}
+
+(* Free object variables take slots [0 ..] in [obj_vars] order, free
+   attribute variables slots [0 ..] in [attr_vars] order.  [types] are
+   the object types the type credits are tabled for; others fall back
+   to [Taxonomy.similarity]. *)
+let compile cfg ~types ~obj_vars ~attr_vars f =
+  let n_objs = ref 0 and n_vals = ref 0 in
+  let fresh n =
+    let s = !n in
+    incr n;
+    s
+  in
+  (* a variable nothing binds gets a slot nothing binds: a wildcard *)
+  let obj_slot objs x =
+    match List.assoc_opt x objs with Some s -> s | None -> fresh n_objs
+  in
+  let term objs vals = function
+    | Const v -> fun _ _ -> v
+    | Attr_var y -> (
+        match List.assoc_opt y vals with
+        | Some s -> fun _ env -> env.vals.(s)
+        | None -> fun _ _ -> unsupported "unbound attribute variable %s" y)
+    | Obj_attr (q, x) ->
+        let s = obj_slot objs x and get = entity_attr q in
+        fun meta env ->
+          let o = slot_entity meta env s in
+          if o == no_entity then absent else get o
+    | Seg_attr q -> fun (meta : Seg_meta.t) _ -> find_value q meta.attrs
+  in
+  let atom objs vals a =
+    let w = Weights.atom_weight cfg.weights a in
+    match a with
+    | True ->
+        let s = w *. 1. in
+        fun _ _ -> s
+    | False ->
+        let s = w *. 0. in
+        fun _ _ -> s
+    | Present x ->
+        let s = obj_slot objs x in
+        fun meta env ->
+          w *. if slot_entity meta env s == no_entity then 0. else 1.
+    | Rel (r, args) ->
+        let slots = Array.of_list (List.map (obj_slot objs) args) in
+        let derivable = Array.length slots = 2 && List.mem r Spatial.derived in
+        fun meta env ->
+          w
+          *.
+          if
+            all_bound env slots 0
+            && (stored r env slots meta.relationships
+               || (derivable && derived_holds r meta env slots))
+          then 1.
+          else 0.
+    | Cmp (cmp, t1, t2) -> (
+        match type_query cmp t1 t2 with
+        | Some (x, asked) ->
+            let s = obj_slot objs x in
+            let similarity found =
+              Taxonomy.similarity cfg.taxonomy ~asked ~found
+            in
+            let credits = Hashtbl.create 16 in
+            List.iter
+              (fun found -> Hashtbl.replace credits found (similarity found))
+              types;
+            fun meta env ->
+              let o = slot_entity meta env s in
+              w
+              *.
+              if o == no_entity then 0.
+              else (
+                match Hashtbl.find credits o.otype with
+                | c -> c
+                | exception Not_found -> similarity o.otype)
+        | None ->
+            let e1 = term objs vals t1 in
+            let e2 = term objs vals t2 in
+            let holds = holds_cmp cmp in
+            fun meta env ->
+              let v1 = e1 meta env in
+              let v2 = e2 meta env in
+              w *. if v1 != absent && v2 != absent && holds v1 v2 then 1. else 0.
+        )
+  in
+  let rec go objs vals = function
+    | Atom a -> atom objs vals a
+    | And (f, g) ->
+        let cf = go objs vals f in
+        let cg = go objs vals g in
+        fun meta env ->
+          let a = cf meta env in
+          let b = cg meta env in
+          a +. b
+    | Exists (x, body) ->
+        let s = fresh n_objs in
+        best_witness (go ((x, s) :: objs) vals body) s
+    | Freeze { var; attr; obj; body } ->
+        let value =
+          term objs vals
+            (match obj with Some x -> Obj_attr (attr, x) | None -> Seg_attr attr)
+        in
+        let s = fresh n_vals in
+        let body = go objs ((var, s) :: vals) body in
+        fun meta env ->
+          let v = value meta env in
+          if v == absent then 0.
+          else begin
+            env.vals.(s) <- v;
+            body meta env
+          end
+    | (Or _ | Not _ | Next _ | Until _ | Eventually _ | At_level _) as f ->
+        unsupported "cannot score %s" (Htl.Pretty.to_string f)
+  in
+  let objs = List.map (fun x -> (x, fresh n_objs)) obj_vars in
+  let vals = List.map (fun y -> (y, fresh n_vals)) attr_vars in
+  let run = go objs vals f in
+  { n_objs = !n_objs; n_vals = !n_vals; run }
+
+(* A fresh environment for [c], its free slots bound from [objs] and
+   [vals] (in [obj_vars] / [attr_vars] order; [None] and [absent] leave a
+   slot wildcarded / undefined).  Scoring writes binder slots, so every
+   scan — and under the pool every chunk — owns one. *)
+let new_slots c ~objs ~vals =
+  let env =
+    {
+      bound = Array.make c.n_objs false;
+      oids = Array.make c.n_objs 0;
+      vals = Array.make c.n_vals absent;
+    }
+  in
+  List.iteri
+    (fun i -> function
+      | Some oid ->
+          env.bound.(i) <- true;
+          env.oids.(i) <- oid
+      | None -> ())
+    objs;
+  List.iteri (fun j v -> env.vals.(j) <- v) vals;
+  env
 
 (* --- attribute-variable regions ---------------------------------------- *)
 
@@ -267,29 +525,95 @@ let cartesian options_per_var =
       List.concat_map (fun o -> List.map (fun rest -> o :: rest) acc) options)
     options_per_var [ [] ]
 
+let index_for ?metrics ?index store ~level =
+  match index with
+  | Some idx ->
+      if Index.level idx <> level then
+        invalid_arg "Picture.Retrieval.eval: index level mismatch";
+      idx
+  | None -> Index.build ?metrics store ~level
+
+(* Every binding of the free object variables, in table order: each
+   variable ranges over the wildcard ([None], first) and the objects of
+   the level. *)
+let bindings config idx f =
+  let obj_vars = free_obj_vars f in
+  let support = Index.objects_at_level idx in
+  let combo_count =
+    Float.pow (float_of_int (1 + List.length support))
+      (float_of_int (List.length obj_vars))
+  in
+  if combo_count > float_of_int config.max_rows then
+    unsupported "too many candidate evaluations (%d objects, %d variables)"
+      (List.length support) (List.length obj_vars);
+  cartesian
+    (List.map
+       (fun x -> List.map (fun o -> (x, o)) (None :: List.map Option.some support))
+       obj_vars)
+
+(* The table of [f] over [combos]: under each binding, one row per region
+   tuple of the free attribute variables.  [row ~combo ~bound ~reps]
+   builds a row's list from the binding and the regions' representative
+   values, or answers [None] for a bound row the wildcard row subsumes. *)
+let build_table config idx f ~combos row =
+  let attr_vars = free_attr_vars f in
+  let rows = ref [] and row_count = ref 0 in
+  List.iter
+    (fun combo ->
+      let bound =
+        List.filter_map (fun (x, o) -> Option.map (fun o -> (x, o)) o) combo
+      in
+      let region_combos =
+        cartesian (List.map (fun y -> regions idx ~env_objs:combo f y) attr_vars)
+      in
+      List.iter
+        (fun rc ->
+          incr row_count;
+          if !row_count > config.max_rows then
+            unsupported "similarity table exceeds %d rows" config.max_rows;
+          match row ~combo ~bound ~reps:(List.map snd rc) with
+          | None -> ()
+          | Some list ->
+              (* empty rows still matter when they carry a range (they
+                 mark region coverage for later joins) *)
+              if attr_vars <> [] || not (Sim_list.is_empty list) then
+                rows :=
+                  {
+                    Sim_table.objs = List.sort compare bound;
+                    attrs =
+                      List.map2 (fun y (range, _) -> (y, range)) attr_vars rc;
+                    list;
+                  }
+                  :: !rows)
+        region_combos)
+    combos;
+  Sim_table.create ~obj_cols:(free_obj_vars f) ~attr_cols:attr_vars
+    ~max:(Weights.total config.weights f) (List.rev !rows)
+
+(* the candidates of a bound row: where a bound object appears *)
+let bound_candidates idx bound =
+  List.fold_left
+    (fun acc (_, oid) -> Pruning.union acc (Index.segments_of_object idx oid))
+    [||] bound
+
 let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
     ~level f =
   validate f;
   let max_total = Weights.total config.weights f in
   let obj_vars = free_obj_vars f in
   let attr_vars = free_attr_vars f in
-  let idx =
-    match index with
-    | Some idx ->
-        if Index.level idx <> level then
-          invalid_arg "Picture.Retrieval.eval: index level mismatch";
-        idx
-    | None -> Index.build ?metrics store ~level
-  in
+  let idx = index_for ?metrics ?index store ~level in
   let n = Index.segment_count idx in
-  let support = Index.objects_at_level idx in
+  (* read after the index, so every id up to [n] is in the row *)
+  let nodes = Store.nodes_at store ~level in
   (* segments scanned, per level: one count per segment scored (full
      scans, pruned scans and candidate rescans alike) *)
+  let scanned_key = Printf.sprintf "picture.segments_scanned.l%d" level in
+  let scored = ref 0 in
   let scanned k =
+    scored := !scored + k;
     match metrics with
-    | Some m ->
-        Obs.Metrics.incr m ~by:k
-          (Printf.sprintf "picture.segments_scanned.l%d" level)
+    | Some m -> Obs.Metrics.incr m ~by:k scanned_key
     | None -> ()
   in
   (* Candidate pruning: a static plan over the index's posting families
@@ -315,64 +639,76 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
       Obs.Stats.record_atom st ~atom:(Htl.Pretty.to_string f) ~level
         ~candidates ~segments:n
   | Some _ | None -> ());
-  let combo_count =
-    Float.pow (float_of_int (1 + List.length support))
-      (float_of_int (List.length obj_vars))
+  let combos = bindings config idx f in
+  let scorer =
+    compile config ~types:(Index.types_at_level idx) ~obj_vars ~attr_vars f
   in
-  if combo_count > float_of_int config.max_rows then
-    unsupported "too many candidate evaluations (%d objects, %d variables)"
-      (List.length support) (List.length obj_vars);
-  let option_lists =
-    List.map
-      (fun x -> List.map (fun o -> (x, o)) (None :: List.map Option.some support))
-      obj_vars
+  (* [scan ~objs ~vals count body] runs [body env k] for every k below
+     [count].  Scoring reads the store, taxonomy and weights only and
+     writes its own environment, so the range chunks across the pool
+     freely, one environment per chunk; [body] writes disjoint slots. *)
+  let scan ~objs ~vals count body =
+    let run ~lo ~hi =
+      let env = new_slots scorer ~objs ~vals in
+      for k = lo to hi do
+        body env k
+      done
+    in
+    match pool with
+    | Some p -> Parallel.Pool.iter_chunks p count run
+    | None -> if count > 0 then run ~lo:0 ~hi:(count - 1)
   in
-  let combos = cartesian option_lists in
-  (* per-region base lists (all object variables wildcarded) are shared
-     by every binding; cache them by representative values *)
-  let base_cache : (Metadata.Value.t option list, float array) Hashtbl.t =
+  let score env id = scorer.run nodes.(id - 1).Store.meta env in
+  let wildcards = List.map (fun _ -> None) obj_vars in
+  (* Base rows (every object variable wildcarded) per region tuple: the
+     dense scores, and their list when a row needs it. *)
+  let base_cache : (Value.t list, float array * Sim_list.t Lazy.t) Hashtbl.t =
     Hashtbl.create 8
   in
-  (* Scoring reads the store, taxonomy and weights only, so a segment
-     scan chunks across the pool freely; candidate rescans write disjoint
-     slots of a private copy. *)
-  let rescore_into arr ~env ~(candidates : int array) =
-    let rescore id = arr.(id - 1) <- score config store ~level ~env ~id f in
-    (match pool with
-    | Some p ->
-        Parallel.Pool.iter_chunks p (Array.length candidates) (fun ~lo ~hi ->
-            for k = lo to hi do
-              rescore candidates.(k)
-            done)
-    | None -> Array.iter rescore candidates);
-    arr
-  in
-  let score_all ~env_objs ~attrs ~only =
-    let env = { objs = env_objs; attrs } in
-    match only with
-    | None -> (
-        match pruned with
+  let base reps =
+    match Hashtbl.find_opt base_cache reps with
+    | Some b -> b
+    | None ->
+        let dense = Array.make n 0. in
+        (match pruned with
         | Some candidates ->
-            scanned (Array.length candidates);
+            let m = Array.length candidates in
+            scanned m;
             (match metrics with
-            | Some m ->
-                Obs.Metrics.incr m
-                  ~by:(Array.length candidates)
-                  "picture.index.candidates";
-                Obs.Metrics.incr m
-                  ~by:(n - Array.length candidates)
-                  "picture.index.pruned_segments"
+            | Some mt ->
+                Obs.Metrics.incr mt ~by:m "picture.index.candidates";
+                Obs.Metrics.incr mt ~by:(n - m) "picture.index.pruned_segments"
             | None -> ());
-            rescore_into (Array.make n 0.) ~env ~candidates
-        | None -> (
+            scan ~objs:wildcards ~vals:reps m (fun env k ->
+                let id = candidates.(k) in
+                dense.(id - 1) <- score env id)
+        | None ->
             scanned n;
-            let cell i = score config store ~level ~env ~id:(i + 1) f in
-            match pool with
-            | Some p -> Parallel.Pool.parallel_init p n cell
-            | None -> Array.init n cell))
-    | Some (base, candidates) ->
-        scanned (Array.length candidates);
-        rescore_into (Array.copy base) ~env ~candidates
+            scan ~objs:wildcards ~vals:reps n (fun env k ->
+                dense.(k) <- score env (k + 1)));
+        let b = (dense, lazy (Sim_list.of_dense ~max:max_total dense)) in
+        Hashtbl.add base_cache reps b;
+        b
+  in
+  (* A bound row differs from its base row only where a bound object
+     appears, so only those candidates are scored.  The row is redundant
+     when every candidate keeps its base score; otherwise its list is the
+     base list overlaid with the candidates' scores. *)
+  let row ~combo ~bound ~reps =
+    let dense, list = base reps in
+    if bound = [] then Some (Lazy.force list)
+    else
+      let candidates = bound_candidates idx bound in
+      let m = Array.length candidates in
+      scanned m;
+      let values = Array.make m 0. in
+      scan ~objs:(List.map snd combo) ~vals:reps m (fun env k ->
+          values.(k) <- score env candidates.(k));
+      let rec same k =
+        k = m || (values.(k) = dense.(candidates.(k) - 1) && same (k + 1))
+      in
+      if same 0 then None
+      else Some (Sim_list.overlay (Lazy.force list) ~ids:candidates ~values)
   in
   let span_of f =
     match tracer with
@@ -389,75 +725,51 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
                 | Some c -> string_of_int (Array.length c)
                 | None -> "full" );
             ]
-          f
+          (fun () ->
+            let table = f () in
+            Obs.Trace.add_attr tr "rows"
+              (string_of_int (Sim_table.row_count table));
+            Obs.Trace.add_attr tr "scored" (string_of_int !scored);
+            table)
   in
-  span_of @@ fun () ->
-  let rows = ref [] and row_count = ref 0 in
-  List.iter
-    (fun combo ->
-      let bound = List.filter_map (fun (x, o) -> Option.map (fun o -> (x, o)) o) combo in
-      let region_sets =
-        List.map (fun y -> regions idx ~env_objs:combo f y) attr_vars
-      in
-      let region_combos = cartesian region_sets in
-      List.iter
-        (fun rc ->
-          incr row_count;
-          if !row_count > config.max_rows then
-            unsupported "similarity table exceeds %d rows" config.max_rows;
-          let attrs =
-            List.map2 (fun y (_, rep) -> (y, Some rep)) attr_vars rc
-          in
-          let reps = List.map snd attrs in
-          let base =
-            match Hashtbl.find_opt base_cache reps with
-            | Some b -> b
-            | None ->
-                let b =
-                  score_all
-                    ~env_objs:(List.map (fun (x, _) -> (x, None)) combo)
-                    ~attrs ~only:None
-                in
-                Hashtbl.add base_cache reps b;
-                b
-          in
-          let dense =
-            if bound = [] then base
-            else
-              let candidates =
-                List.fold_left
-                  (fun acc (_, oid) ->
-                    Pruning.union acc (Index.segments_of_object idx oid))
-                  [||] bound
-              in
-              score_all ~env_objs:combo ~attrs ~only:(Some (base, candidates))
-          in
-          (* a bound row indistinguishable from the wildcard row is
-             subsumed by it *)
-          let redundant = bound <> [] && dense = base in
-          if not redundant then begin
-            let list = Sim_list.of_dense ~max:max_total dense in
-            (* empty rows still matter when they carry a range (they mark
-               region coverage for later joins) *)
-            if attr_vars <> [] || not (Sim_list.is_empty list) then
-              rows :=
-                {
-                  Sim_table.objs = List.sort compare bound;
-                  attrs =
-                    List.map2 (fun y (range, _) -> (y, range)) attr_vars rc;
-                  list;
-                }
-                :: !rows
-          end)
-        region_combos)
-    combos;
-  Sim_table.create ~obj_cols:obj_vars ~attr_cols:attr_vars ~max:max_total
-    (List.rev !rows)
+  span_of @@ fun () -> build_table config idx f ~combos row
 
 let score_at ?(config = default_config) ?(attrs = []) store ~level ~id ~env f =
   validate f;
   score config store ~level
     ~env:{ objs = List.map (fun (x, o) -> (x, Some o)) env; attrs }
     ~id f
+
+let scorer ?(config = default_config) ?(attrs = []) ?index store ~level ~env f
+    =
+  validate f;
+  let idx = index_for ?index store ~level in
+  let nodes = Store.nodes_at store ~level in
+  let c =
+    compile config ~types:(Index.types_at_level idx)
+      ~obj_vars:(List.map fst env) ~attr_vars:(List.map fst attrs) f
+  in
+  let slots =
+    new_slots c
+      ~objs:(List.map (fun (_, o) -> Some o) env)
+      ~vals:(List.map (fun (_, v) -> Option.value v ~default:absent) attrs)
+  in
+  fun ~id -> c.run nodes.(id - 1).Store.meta slots
+
+let eval_dense ?(config = default_config) ?index store ~level f =
+  validate f;
+  let idx = index_for ?index store ~level in
+  let n = Index.segment_count idx in
+  let attr_vars = free_attr_vars f in
+  let dense ~env ~reps =
+    let attrs = List.map2 (fun y v -> (y, Some v)) attr_vars reps in
+    Array.init n (fun i -> score_at ~config ~attrs store ~level ~id:(i + 1) ~env f)
+  in
+  let max = Weights.total config.weights f in
+  build_table config idx f ~combos:(bindings config idx f)
+    (fun ~combo:_ ~bound ~reps ->
+      let row = dense ~env:bound ~reps in
+      if bound <> [] && row = dense ~env:[] ~reps then None
+      else Some (Sim_list.of_dense ~max row))
 
 let max_similarity ?(config = default_config) f = Weights.total config.weights f

@@ -55,7 +55,8 @@ val eval :
     (normally the context registry's — [Invalid_argument] on a level
     mismatch); otherwise one is built here.
     With [tracer], the scan records a ["picture.eval"] span (level,
-    segment, combination and pruning counts); with [metrics], every
+    segment, combination and pruning counts, and on closing the [rows]
+    emitted and the segments [scored]); with [metrics], every
     scored segment counts toward the
     [picture.segments_scanned.l<level>] counter — full scans, pruned
     scans and candidate rescans alike — and pruned base scans record
@@ -63,6 +64,13 @@ val eval :
     With [stats], every evaluation folds the atom's observed pruning
     selectivity (candidates ÷ level segments; 1 for a full scan) into
     {!Obs.Stats.record_atom}.
+
+    Scoring goes through the formula compiled once per evaluation (see
+    {!scorer}).  A bound row is scored only at the segments where one of
+    its objects appears; elsewhere it equals the row with every object
+    variable wildcarded, whose list it overlays
+    ({!Simlist.Sim_list.overlay}), and it is dropped when it equals that
+    row everywhere.
     @raise Unsupported as described above. *)
 
 val score_at :
@@ -78,6 +86,38 @@ val score_at :
     segment — the one-picture scoring primitive (exposed for tests and
     the naive reference evaluator).  [attrs] supplies values for free
     attribute variables ([None] = the frozen attribute was undefined). *)
+
+val scorer :
+  ?config:config ->
+  ?attrs:(string * Metadata.Value.t option) list ->
+  ?index:Index.t ->
+  Video_model.Store.t ->
+  level:int ->
+  env:(string * int) list ->
+  Htl.Ast.t ->
+  id:int ->
+  float
+(** The staged scorer {!eval} scores with, under one binding:
+    [scorer store ~level ~env ~attrs f] compiles [f] once, and the
+    result scores any segment [id] of [level] — equal to {!score_at}
+    with the same arguments, bit for bit, and raising the same
+    [Unsupported] on an unbound attribute variable when that is first
+    evaluated.  The closure reuses one environment, so it must not be
+    shared between domains.  [index] supplies the level's object types
+    (built when absent). *)
+
+val eval_dense :
+  ?config:config ->
+  ?index:Index.t ->
+  Video_model.Store.t ->
+  level:int ->
+  Htl.Ast.t ->
+  Simlist.Sim_table.t
+(** The oracle for {!eval}: the same rows, each built densely from
+    {!score_at} at every segment of the level and
+    {!Simlist.Sim_list.of_dense}, a bound row dropped when it equals the
+    wildcard row everywhere.  O(rows × segments); for tests and the
+    index bench's check. *)
 
 val max_similarity : ?config:config -> Htl.Ast.t -> float
 (** Total weight of the formula. *)

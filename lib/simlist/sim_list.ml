@@ -430,3 +430,36 @@ let of_dense ~max arr =
     else incr i
   done;
   of_entries ~max (List.rev !entries)
+
+(* One walk over the base entries and the sorted ids together: base
+   pieces between two ids are pushed as they are, each id's new value is
+   checked and pushed as a one-id piece, and [push] clamps, drops zeros
+   and coalesces exactly as [of_entries] does on [of_dense]'s runs. *)
+let overlay t ~ids ~values =
+  let m = Array.length ids in
+  if Array.length values <> m then
+    invalid_arg "Sim_list.overlay: ids and values differ in length";
+  let max = t.max in
+  let tolerance = float_tolerance *. Float.max 1. (Float.abs max) in
+  let point k pos acc =
+    let id = ids.(k) and v = values.(k) in
+    if id < pos then invalid_arg "Sim_list.overlay: ids not ascending";
+    if v > max +. tolerance then
+      invalid_arg
+        (Printf.sprintf "Sim_list.of_entries: actual %g exceeds max %g" v max);
+    push ~max id id v acc
+  in
+  (* ids below [pos] are emitted; [k] is the next id to overwrite *)
+  let rec go k pos entries acc =
+    match entries with
+    | [] -> if k = m then acc else go (k + 1) (ids.(k) + 1) [] (point k pos acc)
+    | (iv, v) :: tl ->
+        let lo = Int.max pos (Interval.lo iv) and hi = Interval.hi iv in
+        if lo > hi then go k pos tl acc
+        else if k < m && ids.(k) <= hi then
+          let id = ids.(k) in
+          go (k + 1) (id + 1) entries
+            (point k pos (push ~max lo (id - 1) v acc))
+        else go k (hi + 1) tl (push ~max lo hi v acc)
+  in
+  finish ~max (go 0 1 t.entries [])

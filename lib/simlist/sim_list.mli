@@ -145,3 +145,11 @@ val to_dense : n:int -> t -> float array
 (** Array of actual values indexed by [id - 1]. *)
 
 val of_dense : max:float -> float array -> t
+
+val overlay : t -> ids:int array -> values:float array -> t
+(** [overlay t ~ids ~values] is [t] with the value at [ids.(k)] replaced
+    by [values.(k)]: equal to {!of_dense} of [to_dense t] overwritten at
+    those ids, in O(|ids| + |t|) without the dense array.  [ids] must be
+    strictly ascending and at least 1.
+    @raise Invalid_argument as {!of_dense} on a value over the maximum,
+    on unsorted [ids], or when [ids] and [values] differ in length. *)

@@ -263,10 +263,334 @@ let retrieval_tests =
         check (float 1e-9) "shot 3" 4. (Sim_list.value_at l 3));
   ]
 
+(* --- the staged scorer and sparse rows against the interpreter -------- *)
+
+module Ast = Htl.Ast
+module Value = Metadata.Value
+
+(* Atomic formulas over the vocabulary of Workload.Movies stores, reaching
+   every scorer path: nested and shadowing [exists], freezes of object
+   and segment attributes, type queries naming a type missing from the
+   taxonomy ("alien") or present in it but missing from the level
+   ("weapon", "airplane"), stored and derived spatial relations,
+   attribute variables on either side of a comparison, and Int values
+   compared with Float ones. *)
+let gen_atomic_formula =
+  let open QCheck.Gen in
+  let open Ast in
+  let obj = oneofl [ "x"; "y"; "z" ] in
+  let attr_var = oneofl [ "v"; "w" ] in
+  let const =
+    frequency
+      [
+        (3, map (fun k -> Value.Int (10 * k)) (int_range 0 10));
+        (2, map (fun k -> Value.Float (float_of_int (10 * k))) (int_range 0 10));
+        (1, return (Value.Float 45.5));
+        (2, map (fun s -> Value.Str s) (oneofl [ "calm"; "tense"; "alpha"; "gun" ]));
+      ]
+  in
+  let term =
+    frequency
+      [
+        (3, map (fun c -> Const c) const);
+        (3, map (fun y -> Attr_var y) attr_var);
+        ( 4,
+          map2
+            (fun q x -> Obj_attr (q, x))
+            (oneofl [ "speed"; "speed"; "name"; "type"; "id" ])
+            obj );
+        (2, map (fun q -> Seg_attr q) (oneofl [ "mood"; "speed" ]));
+      ]
+  in
+  let type_name =
+    oneofl [ "man"; "gun"; "horse"; "person"; "weapon"; "airplane"; "alien" ]
+  in
+  let atom =
+    frequency
+      [
+        (3, map (fun x -> Present x) obj);
+        ( 3,
+          map3
+            (fun r x y -> Rel (r, [ x; y ]))
+            (oneofl
+               [ "holds"; "fires_at"; "near"; "left_of"; "above"; "overlaps"; "inside" ])
+            obj obj );
+        (1, map (fun x -> Rel ("holds", [ x ])) obj);
+        ( 3,
+          map3
+            (fun flip t x ->
+              if flip then Cmp (Eq, Const (Value.Str t), Obj_attr ("type", x))
+              else Cmp (Eq, Obj_attr ("type", x), Const (Value.Str t)))
+            bool type_name obj );
+        ( 5,
+          map3
+            (fun c a b -> Cmp (c, a, b))
+            (oneofl [ Eq; Ne; Lt; Le; Gt; Ge ])
+            term term );
+        (1, oneofl [ True; False ]);
+      ]
+  in
+  let freeze =
+    oneofl
+      [
+        ("speed", Some "x"); ("speed", Some "z"); ("name", Some "y"); ("mood", None);
+      ]
+  in
+  sized_size (int_range 0 5)
+    (fix (fun self n ->
+         if n = 0 then map (fun a -> Atom a) atom
+         else
+           frequency
+             [
+               (1, map (fun a -> Atom a) atom);
+               (3, map2 (fun f g -> And (f, g)) (self (n / 2)) (self (n / 2)));
+               (2, map2 (fun x f -> Exists (x, f)) obj (self (n - 1)));
+               ( 2,
+                 map3
+                   (fun var (attr, obj) body -> Freeze { var; attr; obj; body })
+                   attr_var freeze (self (n - 1)) );
+             ]))
+
+(* values for the free attribute variables; a variable left out is
+   unbound *)
+let gen_attr_values =
+  let open QCheck.Gen in
+  let value =
+    oneofl
+      [
+        `Unbound; `Bound None; `Bound (Some (Value.Int 40));
+        `Bound (Some (Value.Float 40.)); `Bound (Some (Value.Float 45.5));
+        `Bound (Some (Value.Str "calm"));
+      ]
+  in
+  pair value value
+
+type scorer_case = {
+  seed : int;
+  level : int;
+  f : Ast.t;
+  values : [ `Unbound | `Bound of Value.t option ] * [ `Unbound | `Bound of Value.t option ];
+}
+
+let arb_scorer_case =
+  let gen =
+    let open QCheck.Gen in
+    map3
+      (fun (seed, level) f values -> { seed; level; f; values })
+      (pair (int_bound 1_000_000)
+         (frequency [ (1, return 1); (1, return 2); (3, return 3) ]))
+      gen_atomic_formula gen_attr_values
+  in
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "store seed %d, level %d, formula %s" c.seed c.level
+        (Htl.Pretty.to_string c.f))
+    gen
+
+let case_store c =
+  Workload.Movies.random_store (Workload.Rng.make c.seed) ~videos:3 ~levels:3
+    ~branching:4 ~object_pool:4 ()
+
+let case_attrs c =
+  let v, w = c.values in
+  List.filter_map
+    (fun (y, b) ->
+      match b with
+      | `Bound value when List.mem y (Ast.free_attr_vars c.f) -> Some (y, value)
+      | `Bound _ | `Unbound -> None)
+    [ ("v", v); ("w", w) ]
+
+(* a score or the Unsupported message, compared bit for bit *)
+let outcome f =
+  match f () with
+  | s -> Ok (Int64.bits_of_float s)
+  | exception Retrieval.Unsupported msg -> Error msg
+
+(* every binding of [vars] to the wildcard (unbound), an object of the
+   pool, or an object absent from the store *)
+let rec bindings = function
+  | [] -> [ [] ]
+  | x :: tl ->
+      let rest = bindings tl in
+      rest
+      @ List.concat_map
+          (fun o -> List.map (fun b -> (x, o) :: b) rest)
+          [ 1; 2; 3; 4; 99 ]
+
+let table_repr t =
+  ( Sim_table.obj_cols t,
+    Sim_table.attr_cols t,
+    Sim_table.max_sim t,
+    List.map
+      (fun (r : Sim_table.row) ->
+        (r.objs, r.attrs, Sim_list.max_sim r.list, Sim_list.entries r.list))
+      (Sim_table.rows t) )
+
+let table_outcome f =
+  match f () with
+  | t -> Ok (table_repr t)
+  | exception Retrieval.Unsupported msg -> Error msg
+
+(* the fixed-shape movie store: 100 videos of 4 plots of 6 scenes *)
+let movie_store ?(videos = 100) seed =
+  let rng = Workload.Rng.make seed in
+  let meta () = Workload.Movies.random_meta rng ~object_pool:8 in
+  let node children = Video_model.Segment.make ~meta:(meta ()) children in
+  Video_model.Store.create
+    (List.init videos (fun v ->
+         Video_model.Video.create
+           ~title:(Printf.sprintf "movie-%d" v)
+           ~level_names:[ "video"; "plot"; "scene" ]
+           (node
+              (List.init 4 (fun _ ->
+                   node
+                     (List.init 6 (fun _ ->
+                          Video_model.Segment.leaf (meta ()))))))))
+
+let scanned_total m =
+  List.fold_left
+    (fun acc -> function
+      | name, Obs.Metrics.Counter n
+        when String.starts_with ~prefix:"picture.segments_scanned" name ->
+          acc + n
+      | _ -> acc)
+    0 (Obs.Metrics.snapshot m)
+
+let staged_tests =
+  let open Alcotest in
+  [
+    Helpers.qtest ~count:200 "compiled scorer equals score_at everywhere"
+      (fun c ->
+        let store = case_store c in
+        let attrs = case_attrs c in
+        let n = Video_model.Store.count_at store ~level:c.level in
+        List.for_all
+          (fun env ->
+            let scorer = Retrieval.scorer ~attrs store ~level:c.level ~env c.f in
+            List.for_all
+              (fun id ->
+                outcome (fun () ->
+                    Retrieval.score_at ~attrs store ~level:c.level ~id ~env c.f)
+                = outcome (fun () -> scorer ~id))
+              (List.init n (fun i -> i + 1)))
+          (bindings (Ast.free_obj_vars c.f)))
+      arb_scorer_case;
+    Helpers.qtest ~count:200 "eval equals the dense score_at oracle"
+      (fun c ->
+        let store = case_store c in
+        table_outcome (fun () -> Retrieval.eval store ~level:c.level c.f)
+        = table_outcome (fun () -> Retrieval.eval_dense store ~level:c.level c.f))
+      arb_scorer_case;
+    test_case "types missing from the index fall back to the taxonomy" `Quick
+      (fun () ->
+        let store = Fixtures.western_store () in
+        let index = Index.build store ~level:2 in
+        Video_model.Store.append_segments store
+          [
+            Metadata.Seg_meta.make
+              ~objects:
+                [
+                  Metadata.Entity.make ~id:42 ~otype:"rifle" ();
+                  Metadata.Entity.make ~id:43 ~otype:"alien" ();
+                ]
+              ();
+          ];
+        let id = Video_model.Store.count_at store ~level:2 in
+        List.iter
+          (fun t ->
+            let f =
+              parse (Printf.sprintf "exists u . type(u) = \"%s\"" t)
+            in
+            check (float 0.) t
+              (Retrieval.score_at store ~level:2 ~id ~env:[] f)
+              (Retrieval.scorer ~index store ~level:2 ~env:[] f ~id))
+          [ "gun"; "alien"; "weapon" ]);
+    test_case "an unbound attribute variable raises the same message" `Quick
+      (fun () ->
+        let f = parse "present(x) and [w <- speed(x)] (w > 30 and speed(x) <= v)" in
+        let env = [ ("x", 4) ] in
+        let expected = Error "unbound attribute variable v" in
+        let scorer = Retrieval.scorer store ~level:2 ~env f in
+        let raised = ref 0 in
+        for id = 1 to Video_model.Store.count_at store ~level:2 do
+          let interp =
+            outcome (fun () -> Retrieval.score_at store ~level:2 ~id ~env f)
+          in
+          if interp = expected then incr raised;
+          check bool
+            (Printf.sprintf "segment %d" id)
+            true
+            (interp = outcome (fun () -> scorer ~id))
+        done;
+        (* raised only where the train's speed is defined *)
+        check int "segments reaching the comparison" 2 !raised);
+    test_case "eval on a 2-domain pool equals the sequential table" `Quick
+      (fun () ->
+        let store = movie_store ~videos:200 7 in
+        let level = 3 in
+        check bool "level above the parallel cutoff" true
+          (Video_model.Store.count_at store ~level
+          > (Engine.Context.of_store store).Engine.Context.par_cutoff);
+        Parallel.Pool.with_pool ~domains:2 (fun pool ->
+            List.iter
+              (fun q ->
+                let f = parse q in
+                let bytes t = Marshal.to_string (table_repr t) [] in
+                check string q
+                  (bytes (Retrieval.eval store ~level f))
+                  (bytes (Retrieval.eval ~pool store ~level f)))
+              [
+                "present(x) and type(x) = \"gun\"";
+                "present(x) and [w <- speed(x)] (w > 30 and speed(x) <= v)";
+              ]));
+    test_case "eval allocates O(1) minor words per scored segment" `Quick
+      (fun () ->
+        (* a count, not a timing: re-reading the formula at every segment
+           costs hundreds of words each *)
+        let store = movie_store 1 in
+        let level = 3 in
+        let index = Index.build store ~level in
+        let m = Obs.Metrics.create () in
+        let f = parse "exists u . (present(u) and type(u) = \"gun\")" in
+        let w0 = Gc.minor_words () in
+        ignore (Retrieval.eval ~metrics:m ~index store ~level f);
+        let words = Gc.minor_words () -. w0 in
+        let scored = scanned_total m in
+        let per_segment = words /. float_of_int scored in
+        check bool "segments scored" true (scored > 1000);
+        check bool
+          (Printf.sprintf "%.1f minor words per scored segment <= 100"
+             per_segment)
+          true (per_segment <= 100.));
+    test_case "the picture.eval span records rows and segments scored" `Quick
+      (fun () ->
+        let tr = Obs.Trace.create () and m = Obs.Metrics.create () in
+        let t =
+          Retrieval.eval ~tracer:tr ~metrics:m store ~level:2
+            (parse "present(x) and speed(x) > v")
+        in
+        match
+          List.filter
+            (fun s -> s.Obs.Trace.name = "picture.eval")
+            (Obs.Trace.spans tr)
+        with
+        | [ s ] ->
+            check (option string) "level" (Some "2") (Obs.Trace.attr s "level");
+            check (option string) "rows"
+              (Some (string_of_int (Sim_table.row_count t)))
+              (Obs.Trace.attr s "rows");
+            check (option string) "scored"
+              (Some (string_of_int (scanned_total m)))
+              (Obs.Trace.attr s "scored");
+            check bool "closed" true (Option.is_some (Obs.Trace.duration_s s))
+        | spans -> failf "expected one picture.eval span, got %d" (List.length spans));
+  ]
+
 let suites =
   [
     ("picture.taxonomy", taxonomy_tests);
     ("picture.spatial", spatial_tests);
     ("picture.weights", weights_tests);
     ("picture.retrieval", retrieval_tests);
+    ("picture.staged", staged_tests);
   ]

@@ -630,6 +630,39 @@ let kernel_tests =
             (Array.of_list (List.map (fun s -> a.(Interval.lo s - 1)) spans))
             (Engine.Direct.lift_to_parents spans (list_a c)))
         (arb_kernel_case ());
+      qtest "overlay equals of_dense on the overwritten array"
+        (fun (c, seed) ->
+          (* b's values, unclamped, at b's ids and at every third id *)
+          let b = Array.make c.n 0. in
+          List.iter
+            (fun (i, v) ->
+              for id = Interval.lo i to Interval.hi i do
+                b.(id - 1) <- v
+              done)
+            c.raw_b;
+          let ids =
+            List.filter
+              (fun id -> b.(id - 1) > 0. || (id + seed) mod 3 = 0)
+              (List.init c.n (fun i -> i + 1))
+          in
+          let a = dense_a c in
+          List.iter (fun id -> a.(id - 1) <- b.(id - 1)) ids;
+          let ids = Array.of_list ids in
+          Sim_list.equal
+            (Sim_list.of_dense ~max:c.max_a a)
+            (Sim_list.overlay (list_a c) ~ids
+               ~values:(Array.map (fun id -> b.(id - 1)) ids)))
+        (QCheck.pair (arb_kernel_case ~same_max:true ()) (QCheck.int_bound 2));
+      test_case "overlay errors" `Quick (fun () ->
+          let l = sl ~max:1. [ (1, 4, 1.) ] in
+          raises "Sim_list.of_entries: actual 2 exceeds max 1" (fun () ->
+              Sim_list.overlay l ~ids:[| 2 |] ~values:[| 2. |]);
+          raises "Sim_list.of_entries: actual 2 exceeds max 1" (fun () ->
+              Sim_list.of_dense ~max:1. [| 1.; 2.; 1.; 1. |]);
+          raises "Sim_list.overlay: ids not ascending" (fun () ->
+              Sim_list.overlay l ~ids:[| 3; 2 |] ~values:[| 0.5; 0.5 |]);
+          raises "Sim_list.overlay: ids and values differ in length"
+            (fun () -> Sim_list.overlay l ~ids:[| 3 |] ~values:[||]));
       test_case "of_entries errors keep their messages" `Quick (fun () ->
           raises "Sim_list.of_entries: negative max" (fun () ->
               sl ~max:(-1.) []);
