@@ -119,6 +119,17 @@ let value_table (ctx : Context.t) ~attr ~obj =
       in
       Simlist.Value_table.create ~obj_cols:[ x ] rows
 
+(* [[var <- q] body] from the body's table and [q]'s value table, noting
+   on the enclosing span how many value rows there were and how many the
+   join read. *)
+let freeze (ctx : Context.t) table ~var vt =
+  let visited = ref 0 in
+  let frozen = Sim_table.freeze_join ~visited table ~var vt in
+  Context.add_attr ctx "value_rows" (fun () ->
+      string_of_int (List.length (Simlist.Value_table.rows vt)));
+  Context.add_attr ctx "visited" (fun () -> string_of_int !visited);
+  frozen
+
 (* at-level evaluation: per-parent descendant sequences.  The per-parent
    span walk chunks across the pool — each walk reads the store only. *)
 let at_level_extents (ctx : Context.t) ~target =
@@ -314,9 +325,7 @@ and eval_raw (ctx : Context.t) f =
         map_lists (Sim_list.eventually ~extents:(Context.extents ctx)) (eval ctx g)
     | Exists (x, g) -> Sim_table.project_obj_var (eval ctx g) x
     | Freeze { var; attr; obj; body } ->
-        let table = eval ctx body in
-        let vt = value_table ctx ~attr ~obj in
-        Sim_table.freeze_join table ~var vt
+        freeze ctx (eval ctx body) ~var (value_table ctx ~attr ~obj)
     | At_level (sel, g) ->
         let target = resolve_level ctx sel in
         if target <= ctx.level then

@@ -23,6 +23,16 @@ val value_table :
 (** The §3.3 value table of an attribute function over the context's
     level (exposed for tests). *)
 
+val freeze :
+  Context.t ->
+  Simlist.Sim_table.t ->
+  var:string ->
+  Simlist.Value_table.t ->
+  Simlist.Sim_table.t
+(** {!Simlist.Sim_table.freeze_join}, recording [value_rows] and
+    [visited] (the value rows the join read) on the enclosing span.
+    Shared with the SQL backend. *)
+
 (** {1 Level-operator plumbing} (shared with the SQL backend) *)
 
 val resolve_level : Context.t -> Htl.Ast.level_sel -> int

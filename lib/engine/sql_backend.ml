@@ -321,7 +321,7 @@ and eval_conjunctive_raw t (ctx : Context.t) f =
     | Freeze { var; attr; obj; body } -> (
         let table = eval_conjunctive t ctx body in
         match Direct.value_table ctx ~attr ~obj with
-        | vt -> Sim_table.freeze_join table ~var vt
+        | vt -> Direct.freeze ctx table ~var vt
         | exception Direct.Unsupported msg -> unsupported "%s" msg)
     | At_level (sel, g) -> (
         (* the body evaluates over the descendant sequences of the target

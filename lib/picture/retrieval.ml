@@ -256,6 +256,21 @@ let best_witness body s (meta : Seg_meta.t) env =
   env.bound.(s) <- true;
   witnesses body s meta env best meta.objects
 
+(* A term under slot environments: [obj_slot] places its object
+   variable, [vals] the attribute variables in scope. *)
+let stage_term ~obj_slot ~vals = function
+  | Const v -> fun _ _ -> v
+  | Attr_var y -> (
+      match List.assoc_opt y vals with
+      | Some s -> fun _ env -> env.vals.(s)
+      | None -> fun _ _ -> unsupported "unbound attribute variable %s" y)
+  | Obj_attr (q, x) ->
+      let s = obj_slot x and get = entity_attr q in
+      fun meta env ->
+        let o = slot_entity meta env s in
+        if o == no_entity then absent else get o
+  | Seg_attr q -> fun (meta : Seg_meta.t) _ -> find_value q meta.attrs
+
 type compiled = {
   n_objs : int;
   n_vals : int;
@@ -277,19 +292,7 @@ let compile cfg ~types ~obj_vars ~attr_vars f =
   let obj_slot objs x =
     match List.assoc_opt x objs with Some s -> s | None -> fresh n_objs
   in
-  let term objs vals = function
-    | Const v -> fun _ _ -> v
-    | Attr_var y -> (
-        match List.assoc_opt y vals with
-        | Some s -> fun _ env -> env.vals.(s)
-        | None -> fun _ _ -> unsupported "unbound attribute variable %s" y)
-    | Obj_attr (q, x) ->
-        let s = obj_slot objs x and get = entity_attr q in
-        fun meta env ->
-          let o = slot_entity meta env s in
-          if o == no_entity then absent else get o
-    | Seg_attr q -> fun (meta : Seg_meta.t) _ -> find_value q meta.attrs
-  in
+  let term objs vals = stage_term ~obj_slot:(obj_slot objs) ~vals in
   let atom objs vals a =
     let w = Weights.atom_weight cfg.weights a in
     match a with
@@ -517,6 +520,37 @@ let regions idx ~env_objs f y =
       ((Range.int_le (first - 1), Metadata.Value.Int (first - 1)) :: middle)
       @ [ (Range.int_ge (last + 1), Metadata.Value.Int (last + 1)) ]
 
+(* --- own classes -------------------------------------------------------- *)
+
+(* Under a fixed object binding, a segment's score depends on an
+   attribute variable only through its comparisons with the other
+   terms' values at that segment: its own points (§3.3).  Two values
+   that every own point orders and equates alike lie in one own class
+   and score alike, bit for bit.  For integers a class is a contiguous
+   run of elementary regions. *)
+
+(* the own points of one variable at a segment, from its staged
+   comparison terms; undefined values compare with nothing *)
+let rec own_points terms meta env i acc =
+  if i = Array.length terms then acc
+  else
+    let v = terms.(i) meta env in
+    own_points terms meta env (i + 1) (if v == absent then acc else v :: acc)
+
+(* [a] and [b] compare alike with every point of [points] *)
+let rec alike a b = function
+  | [] -> true
+  | p :: tl ->
+      compare_values a p = compare_values b p
+      && Value.equal a p = Value.equal b p
+      && alike a b tl
+
+(* value tuples [a] and [b] are in one own class: alike in every
+   variable [j] from on, [owns.(j)] holding its own points *)
+let rec same_class owns a b j =
+  j = Array.length owns
+  || (alike a.(j) b.(j) owns.(j) && same_class owns a b (j + 1))
+
 (* --- table construction ------------------------------------------------ *)
 
 let cartesian options_per_var =
@@ -552,12 +586,13 @@ let bindings config idx f =
        obj_vars)
 
 (* The table of [f] over [combos]: under each binding, one row per region
-   tuple of the free attribute variables.  [row ~combo ~bound ~reps]
-   builds a row's list from the binding and the regions' representative
-   values, or answers [None] for a bound row the wildcard row subsumes. *)
-let build_table config idx f ~combos row =
+   tuple of the free attribute variables.  [rows ~combo ~bound ~reps]
+   builds all of a binding's rows at once, from the regions'
+   representative values (one tuple per row, in region order); a row is
+   [None] when the wildcard row subsumes it. *)
+let build_table config idx f ~combos rows =
   let attr_vars = free_attr_vars f in
-  let rows = ref [] and row_count = ref 0 in
+  let out = ref [] and row_count = ref 0 in
   List.iter
     (fun combo ->
       let bound =
@@ -566,35 +601,46 @@ let build_table config idx f ~combos row =
       let region_combos =
         cartesian (List.map (fun y -> regions idx ~env_objs:combo f y) attr_vars)
       in
-      List.iter
-        (fun rc ->
-          incr row_count;
-          if !row_count > config.max_rows then
-            unsupported "similarity table exceeds %d rows" config.max_rows;
-          match row ~combo ~bound ~reps:(List.map snd rc) with
+      row_count := !row_count + List.length region_combos;
+      if !row_count > config.max_rows then
+        unsupported "similarity table exceeds %d rows" config.max_rows;
+      let lists =
+        rows ~combo ~bound ~reps:(List.map (List.map snd) region_combos)
+      in
+      List.iter2
+        (fun rc -> function
           | None -> ()
           | Some list ->
               (* empty rows still matter when they carry a range (they
                  mark region coverage for later joins) *)
               if attr_vars <> [] || not (Sim_list.is_empty list) then
-                rows :=
+                out :=
                   {
                     Sim_table.objs = List.sort compare bound;
                     attrs =
                       List.map2 (fun y (range, _) -> (y, range)) attr_vars rc;
                     list;
                   }
-                  :: !rows)
-        region_combos)
+                  :: !out)
+        region_combos lists)
     combos;
   Sim_table.create ~obj_cols:(free_obj_vars f) ~attr_cols:attr_vars
-    ~max:(Weights.total config.weights f) (List.rev !rows)
+    ~max:(Weights.total config.weights f) (List.rev !out)
 
 (* the candidates of a bound row: where a bound object appears *)
 let bound_candidates idx bound =
   List.fold_left
     (fun acc (_, oid) -> Pruning.union acc (Index.segments_of_object idx oid))
     [||] bound
+
+(* the index of [id] in the ascending [ids] between [lo] and [hi], or -1 *)
+let rec position ids id lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    if ids.(mid) < id then position ids id (mid + 1) hi
+    else if ids.(mid) > id then position ids id lo mid
+    else mid
 
 let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
     ~level f =
@@ -606,12 +652,12 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
   let n = Index.segment_count idx in
   (* read after the index, so every id up to [n] is in the row *)
   let nodes = Store.nodes_at store ~level in
-  (* segments scanned, per level: one count per segment scored (full
-     scans, pruned scans and candidate rescans alike) *)
+  (* segments scanned, per level: one count per scorer call (full scans,
+     pruned scans and candidate rescans alike) *)
   let scanned_key = Printf.sprintf "picture.segments_scanned.l%d" level in
-  let scored = ref 0 in
+  let scored = Atomic.make 0 and region_count = ref 0 in
   let scanned k =
-    scored := !scored + k;
+    ignore (Atomic.fetch_and_add scored k);
     match metrics with
     | Some m -> Obs.Metrics.incr m ~by:k scanned_key
     | None -> ()
@@ -643,72 +689,160 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
   let scorer =
     compile config ~types:(Index.types_at_level idx) ~obj_vars ~attr_vars f
   in
-  (* [scan ~objs ~vals count body] runs [body env k] for every k below
-     [count].  Scoring reads the store, taxonomy and weights only and
-     writes its own environment, so the range chunks across the pool
-     freely, one environment per chunk; [body] writes disjoint slots. *)
-  let scan ~objs ~vals count body =
+  (* [scan ~objs count body] runs [body env k] for every k below
+     [count]; [body] answers how many times it called the scorer.
+     Scoring reads the store, taxonomy and weights only and writes its
+     own environment, so the range chunks across the pool freely, one
+     environment per chunk; [body] writes disjoint slots. *)
+  let scan ~objs count body =
     let run ~lo ~hi =
-      let env = new_slots scorer ~objs ~vals in
+      let env = new_slots scorer ~objs ~vals:[] in
+      let calls = ref 0 in
       for k = lo to hi do
-        body env k
-      done
+        calls := !calls + body env k
+      done;
+      scanned !calls
     in
     match pool with
     | Some p -> Parallel.Pool.iter_chunks p count run
     | None -> if count > 0 then run ~lo:0 ~hi:(count - 1)
   in
-  let score env id = scorer.run nodes.(id - 1).Store.meta env in
+  let meta_of id = nodes.(id - 1).Store.meta in
+  (* each free attribute variable's comparison terms, staged over the
+     free object slots ([y_atoms] admits free variables only); forced
+     after [regions] has vetted them *)
+  let own_terms =
+    lazy
+      (let slots = List.mapi (fun i x -> (x, i)) obj_vars in
+       Array.of_list
+         (List.map
+            (fun y ->
+              Array.of_list
+                (List.map
+                   (fun (_, t) ->
+                     stage_term
+                       ~obj_slot:(fun x -> List.assoc x slots)
+                       ~vals:[] t)
+                   (y_atoms f y)))
+            attr_vars))
+  in
+  let owns_at meta env =
+    Array.map
+      (fun terms -> own_points terms meta env 0 [])
+      (Lazy.force own_terms)
+  in
+  (* Segment [id] at every representative tuple of [reps], in order,
+     its score at [reps.(r)] going to [out.(r).(pos)]: a tuple in the
+     previous tuple's own class copies its score, any other is scored.
+     Region tuples come in region order, so for a single variable a
+     class is one run of them.  Without attribute variables there is
+     one tuple, the empty one.  Answers the number of scorer calls. *)
+  let no_attr_vars = attr_vars = [] in
+  let sweep env id reps out pos =
+    let meta = meta_of id in
+    if no_attr_vars then begin
+      out.(0).(pos) <- scorer.run meta env;
+      1
+    end
+    else begin
+      let owns = owns_at meta env in
+      let calls = ref 0 in
+      for r = 0 to Array.length reps - 1 do
+        let rep = reps.(r) in
+        if r > 0 && same_class owns reps.(r - 1) rep 0 then
+          out.(r).(pos) <- out.(r - 1).(pos)
+        else begin
+          for j = 0 to Array.length rep - 1 do
+            env.vals.(j) <- rep.(j)
+          done;
+          out.(r).(pos) <- scorer.run meta env;
+          incr calls
+        end
+      done;
+      !calls
+    end
+  in
   let wildcards = List.map (fun _ -> None) obj_vars in
-  (* Base rows (every object variable wildcarded) per region tuple: the
-     dense scores, and their list when a row needs it. *)
-  let base_cache : (Value.t list, float array * Sim_list.t Lazy.t) Hashtbl.t =
+  (* Base rows (every object variable wildcarded) per representative
+     tuple: the scores of the base candidates, and their list when a row
+     needs it. *)
+  let base_count, base_id =
+    match pruned with
+    | Some c -> (Array.length c, fun k -> c.(k))
+    | None -> (n, fun k -> k + 1)
+  in
+  let base_pos id =
+    match pruned with
+    | Some c -> position c id 0 (Array.length c)
+    | None -> id - 1
+  in
+  let base_cache : (Value.t array, float array * Sim_list.t Lazy.t) Hashtbl.t =
     Hashtbl.create 8
   in
-  let base reps =
-    match Hashtbl.find_opt base_cache reps with
-    | Some b -> b
-    | None ->
-        let dense = Array.make n 0. in
-        (match pruned with
-        | Some candidates ->
-            let m = Array.length candidates in
-            scanned m;
-            (match metrics with
-            | Some mt ->
-                Obs.Metrics.incr mt ~by:m "picture.index.candidates";
-                Obs.Metrics.incr mt ~by:(n - m) "picture.index.pruned_segments"
-            | None -> ());
-            scan ~objs:wildcards ~vals:reps m (fun env k ->
-                let id = candidates.(k) in
-                dense.(id - 1) <- score env id)
-        | None ->
-            scanned n;
-            scan ~objs:wildcards ~vals:reps n (fun env k ->
-                dense.(k) <- score env (k + 1)));
-        let b = (dense, lazy (Sim_list.of_dense ~max:max_total dense)) in
-        Hashtbl.add base_cache reps b;
-        b
+  let fill_base reps =
+    let scores = Array.map (fun _ -> Array.make base_count 0.) reps in
+    (match (pruned, metrics) with
+    | Some _, Some mt ->
+        Obs.Metrics.incr mt ~by:base_count "picture.index.candidates";
+        Obs.Metrics.incr mt ~by:(n - base_count) "picture.index.pruned_segments"
+    | None, _ | _, None -> ());
+    (* forced here, not by the pool's chunks *)
+    ignore (Lazy.force own_terms);
+    scan ~objs:wildcards base_count (fun env k ->
+        sweep env (base_id k) reps scores k);
+    Array.iteri
+      (fun r rep ->
+        let scores = scores.(r) in
+        let list =
+          lazy
+            (match pruned with
+            | Some ids ->
+                Sim_list.overlay (Sim_list.empty ~max:max_total) ~ids
+                  ~values:scores
+            | None -> Sim_list.of_dense ~max:max_total scores)
+        in
+        Hashtbl.replace base_cache rep (scores, list))
+      reps
   in
-  (* A bound row differs from its base row only where a bound object
-     appears, so only those candidates are scored.  The row is redundant
-     when every candidate keeps its base score; otherwise its list is the
-     base list overlaid with the candidates' scores. *)
-  let row ~combo ~bound ~reps =
-    let dense, list = base reps in
-    if bound = [] then Some (Lazy.force list)
-    else
+  (* A binding's rows from one sweep.  A bound row differs from its base
+     row only where a bound object appears, so only those candidates
+     are scored.  The row is redundant when every candidate keeps its
+     base score; otherwise its list is the base list overlaid with the
+     candidates' scores. *)
+  let rows ~combo ~bound ~reps =
+    let reps = Array.of_list (List.map Array.of_list reps) in
+    region_count := !region_count + Array.length reps;
+    let missing =
+      List.sort_uniq compare
+        (List.filter
+           (fun rep -> not (Hashtbl.mem base_cache rep))
+           (Array.to_list reps))
+    in
+    if missing <> [] then fill_base (Array.of_list missing);
+    let bases = Array.map (Hashtbl.find base_cache) reps in
+    if bound = [] then
+      Array.to_list (Array.map (fun (_, list) -> Some (Lazy.force list)) bases)
+    else begin
       let candidates = bound_candidates idx bound in
       let m = Array.length candidates in
-      scanned m;
-      let values = Array.make m 0. in
-      scan ~objs:(List.map snd combo) ~vals:reps m (fun env k ->
-          values.(k) <- score env candidates.(k));
-      let rec same k =
-        k = m || (values.(k) = dense.(candidates.(k) - 1) && same (k + 1))
-      in
-      if same 0 then None
-      else Some (Sim_list.overlay (Lazy.force list) ~ids:candidates ~values)
+      let values = Array.map (fun _ -> Array.make m 0.) reps in
+      scan ~objs:(List.map snd combo) m (fun env k ->
+          sweep env candidates.(k) reps values k);
+      Array.to_list
+        (Array.map2
+           (fun (scores, list) values ->
+             let rec same k =
+               k = m
+               ||
+               let p = base_pos candidates.(k) in
+               values.(k) = (if p < 0 then 0. else scores.(p)) && same (k + 1)
+             in
+             if same 0 then None
+             else
+               Some
+                 (Sim_list.overlay (Lazy.force list) ~ids:candidates ~values))
+           bases values)
+    end
   in
   let span_of f =
     match tracer with
@@ -729,10 +863,11 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
             let table = f () in
             Obs.Trace.add_attr tr "rows"
               (string_of_int (Sim_table.row_count table));
-            Obs.Trace.add_attr tr "scored" (string_of_int !scored);
+            Obs.Trace.add_attr tr "regions" (string_of_int !region_count);
+            Obs.Trace.add_attr tr "scored" (string_of_int (Atomic.get scored));
             table)
   in
-  span_of @@ fun () -> build_table config idx f ~combos row
+  span_of @@ fun () -> build_table config idx f ~combos rows
 
 let score_at ?(config = default_config) ?(attrs = []) store ~level ~id ~env f =
   validate f;
@@ -768,8 +903,11 @@ let eval_dense ?(config = default_config) ?index store ~level f =
   let max = Weights.total config.weights f in
   build_table config idx f ~combos:(bindings config idx f)
     (fun ~combo:_ ~bound ~reps ->
-      let row = dense ~env:bound ~reps in
-      if bound <> [] && row = dense ~env:[] ~reps then None
-      else Some (Sim_list.of_dense ~max row))
+      List.map
+        (fun reps ->
+          let row = dense ~env:bound ~reps in
+          if bound <> [] && row = dense ~env:[] ~reps then None
+          else Some (Sim_list.of_dense ~max row))
+        reps)
 
 let max_similarity ?(config = default_config) f = Weights.total config.weights f

@@ -56,10 +56,11 @@ val eval :
     mismatch); otherwise one is built here.
     With [tracer], the scan records a ["picture.eval"] span (level,
     segment, combination and pruning counts, and on closing the [rows]
-    emitted and the segments [scored]); with [metrics], every
-    scored segment counts toward the
-    [picture.segments_scanned.l<level>] counter — full scans, pruned
-    scans and candidate rescans alike — and pruned base scans record
+    emitted, the elementary [regions] they were built for and the
+    scorer calls, [scored]); with [metrics], every scorer call counts
+    toward the [picture.segments_scanned.l<level>] counter — base scans
+    and bound-candidate scans alike — and every pruned base fill (one
+    per batch of new region tuples) records
     [picture.index.candidates] / [picture.index.pruned_segments].
     With [stats], every evaluation folds the atom's observed pruning
     selectivity (candidates ÷ level segments; 1 for a full scan) into
@@ -70,7 +71,12 @@ val eval :
     its objects appears; elsewhere it equals the row with every object
     variable wildcarded, whose list it overlays
     ({!Simlist.Sim_list.overlay}), and it is dropped when it equals that
-    row everywhere.
+    row everywhere.  All region rows of a binding come from one sweep
+    in region order.  At each segment, a region copies the previous
+    region's score when their representatives compare the same way
+    with every value the variable is compared with there, so with one
+    attribute variable a segment with k such values costs at most
+    2k + 1 scorer calls per binding.
     @raise Unsupported as described above. *)
 
 val score_at :

@@ -203,37 +203,172 @@ let project_obj_var t var =
     ~obj_cols:(List.filter (fun c -> c <> var) t.obj_cols)
     ~attr_cols:t.attr_cols ~max:t.max rows
 
-let freeze_join t ~var vt =
-  let range_of r =
-    match List.assoc_opt var r.attrs with
-    | Some range -> range
-    | None -> (
-        (* unconstrained: any value matches *)
-        match (Value_table.rows vt : Value_table.row list) with
-        | { value = Range.Vint _; _ } :: _ -> Range.full_int
-        | { value = Range.Vstr _; _ } :: _ -> Range.full_str
-        | [] -> Range.full_int)
+let compare_value (a : Range.value) (b : Range.value) =
+  match (a, b) with
+  | Vint x, Vint y -> Int.compare x y
+  | Vstr x, Vstr y -> String.compare x y
+  | Vint _, Vstr _ -> -1
+  | Vstr _, Vint _ -> 1
+
+(* the first index of [values] (sorted) whose value is not below [key] *)
+let lower_bound (values : Value_table.row array) key =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if compare_value values.(mid).value key < 0 then go (mid + 1) hi
+      else go lo mid
   in
-  let out = ref [] in
+  go 0 (Array.length values)
+
+(* the least value a range can hold: its values follow it in sorted order *)
+let range_floor : Range.t -> Range.value = function
+  | Ints { lo; _ } -> Vint (Option.value lo ~default:min_int)
+  | Str None -> Vstr ""
+  | Str (Some s) -> Vstr s
+
+(* Union of sorted span lists that are pairwise disjoint, merged in pairs
+   like [Sim_list.merge_max]. *)
+let union_spans lists =
+  let merge =
+    List.merge (fun a b -> Int.compare (Interval.lo a) (Interval.lo b))
+  in
+  let rec pairs = function
+    | a :: b :: tl -> merge a b :: pairs tl
+    | short -> short
+  in
+  let rec go = function [] -> [] | [ x ] -> x | ls -> go (pairs ls) in
+  let spans = go lists in
+  let rec check = function
+    | a :: (b :: _ as tl) ->
+        if Interval.hi a >= Interval.lo b then
+          invalid_arg
+            "Sim_table.freeze_join: one binding's value spans overlap";
+        check tl
+    | [ _ ] | [] -> ()
+  in
+  check spans;
+  spans
+
+(* One evaluation's list from its member rows, each with the run
+   [start, stop) of its binding's [values] (sorted by value) that it
+   matched: every member's list restricted once, to the union of the
+   spans of its values, then max-merged.  Members with empty lists add
+   nothing. *)
+let evaluation_list ~max (values : Value_table.row array) members =
+  let clipped =
+    List.filter_map
+      (fun (list, start, stop) ->
+        if Sim_list.is_empty list then None
+        else
+          Some
+            (Sim_list.restrict list
+               (union_spans
+                  (List.init (stop - start) (fun i ->
+                       values.(start + i).spans)))))
+      members
+  in
+  match clipped with
+  | [] -> Sim_list.empty ~max
+  | lists -> Sim_list.merge_max lists
+
+let freeze_join ?visited t ~var vt =
+  let vt_cols = Value_table.obj_cols vt in
+  (* the value table indexed by object binding, each binding's rows
+     sorted by value; the bindings keep their table order *)
+  let groups = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun (vr : Value_table.row) ->
+      match Hashtbl.find_opt groups vr.objs with
+      | Some rows -> rows := vr :: !rows
+      | None ->
+          Hashtbl.add groups vr.objs (ref [ vr ]);
+          order := vr.objs :: !order)
+    (Value_table.rows vt);
+  let index = Hashtbl.create (Hashtbl.length groups) in
+  let bindings =
+    List.rev_map
+      (fun objs ->
+        let values =
+          Array.of_list
+            (List.stable_sort
+               (fun (a : Value_table.row) b -> compare_value a.value b.value)
+               (List.rev !(Hashtbl.find groups objs)))
+        in
+        Hashtbl.add index objs values;
+        (objs, values))
+      !order
+  in
+  (* a row that does not constrain [var] takes any value of its kind *)
+  let unconstrained =
+    match (Value_table.rows vt : Value_table.row list) with
+    | { value = Range.Vstr _; _ } :: _ -> Range.full_str
+    | { value = Range.Vint _; _ } :: _ | [] -> Range.full_int
+  in
+  let count k = match visited with Some v -> v := !v + k | None -> () in
+  (* the values of one binding inside [range] are a run [start, stop)
+     of its sorted rows: read that run and the row that ends it *)
+  let run_in range (values : Value_table.row array) =
+    let n = Array.length values in
+    let start = lower_bound values (range_floor range) in
+    let rec stop i =
+      if i < n && Range.mem values.(i).value range then stop (i + 1) else i
+    in
+    let stop = stop start in
+    count (stop - start + if stop < n then 1 else 0);
+    (start, stop)
+  in
+  (* the member rows of each evaluation, keyed by (binding, remaining
+     ranges) in first-appearance order, each with the run of values it
+     matched *)
+  let evaluations = Hashtbl.create 16 and keys = ref [] in
+  let emit row objs values =
+    let range =
+      Option.value (List.assoc_opt var row.attrs) ~default:unconstrained
+    in
+    let start, stop = run_in range values in
+    if start < stop then
+      let key = (objs, List.remove_assoc var row.attrs) in
+      let member = (row.list, start, stop) in
+      match Hashtbl.find_opt evaluations key with
+      | Some (_, members) -> members := member :: !members
+      | None ->
+          Hashtbl.add evaluations key (values, ref [ member ]);
+          keys := key :: !keys
+  in
+  let n_cols = List.length vt_cols in
   List.iter
     (fun row ->
-      let range = range_of row in
-      List.iter
-        (fun (vrow : Value_table.row) ->
-          if Range.mem vrow.value range then
-            match unify_objs row.objs vrow.objs with
-            | None -> ()
-            | Some objs ->
-                let list = Sim_list.restrict row.list vrow.spans in
-                let attrs = List.remove_assoc var row.attrs in
-                if attrs <> [] || not (Sim_list.is_empty list) then
-                  out := { objs; attrs; list } :: !out)
-        (Value_table.rows vt))
+      let key = List.filter (fun (c, _) -> List.mem c vt_cols) row.objs in
+      if List.length key = n_cols then
+        (* the row binds the value table's columns: one binding *)
+        match Hashtbl.find_opt index key with
+        | Some values -> emit row row.objs values
+        | None -> ()
+      else
+        (* a wildcard row pairs with every binding it unifies with *)
+        List.iter
+          (fun (objs, values) ->
+            match unify_objs row.objs objs with
+            | Some objs -> emit row objs values
+            | None -> ())
+          bindings)
     t.rows;
+  let rows =
+    List.fold_left
+      (fun acc ((objs, attrs) as key) ->
+        let values, members = Hashtbl.find evaluations key in
+        let list = evaluation_list ~max:t.max values (List.rev !members) in
+        (* an empty row still marks the region its ranges cover *)
+        if attrs <> [] || not (Sim_list.is_empty list) then
+          { objs; attrs; list } :: acc
+        else acc)
+      [] !keys
+  in
   create
-    ~obj_cols:(sorted_strings (t.obj_cols @ Value_table.obj_cols vt))
+    ~obj_cols:(sorted_strings (t.obj_cols @ vt_cols))
     ~attr_cols:(List.filter (fun c -> c <> var) t.attr_cols)
-    ~max:t.max (List.rev !out)
+    ~max:t.max rows
 
 let filter_rows f t =
   let rows = List.filter f t.rows in

@@ -61,11 +61,27 @@ val project_obj_var : t -> string -> t
 (** [exists x f] with other variables remaining free: drop the column,
     max-merging rows that become identical. *)
 
-val freeze_join : t -> var:string -> Value_table.t -> t
-(** [[y <- q] f] (§3.3): joins the table with the value table of [q] —
-    rows agree on shared object variables and the value of [q] lies in the
-    row's range for [var]; the similarity list is restricted to the spans
-    where [q] takes that value; the [var] column disappears. *)
+val freeze_join : ?visited:int ref -> t -> var:string -> Value_table.t -> t
+(** [[y <- q] f] (§3.3): joins the table with the value table of [q].
+    A row pairs with the bindings of [q]'s object variables it agrees
+    with; under each, its list is restricted to the union of the spans
+    where [q] takes a value inside the row's range for [var] (any value
+    when the row leaves [var] unconstrained), and the [var] column
+    disappears.  A binding with no value in the range yields no row.
+
+    The result has one row per evaluation: rows that come out with the
+    same object binding and remaining ranges are max-merged, as {!join}
+    does.  Each row is restricted once, to the union of its matched
+    values' spans (an attribute function has one value per segment, so
+    these are disjoint).  Splitting an evaluation per value would cut
+    every [until] corridor at a change of [q].
+
+    Cost O(rows + matched values + list entries), plus a binary search
+    per row in its binding's values (sorted once).  [visited], when
+    given, is increased by the number of value rows read: the matched
+    ones plus the one that ends each run.
+    @raise Invalid_argument if the spans of the values one row matches
+    overlap. *)
 
 val filter_rows : (row -> bool) -> t -> t
 

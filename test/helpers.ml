@@ -232,26 +232,81 @@ let gen_type2_formula ~depth =
     (fun body -> Ast.Exists ("x", body))
     (gen_temporal (gen_open_atom "x") depth)
 
+(* Conjunctive formulas: [exists x . (present(x) and [v <- speed(x)] b)]
+   where the body [b] is a temporal skeleton whose leaves compare the
+   frozen variables in scope with [speed(x)].  Any node of the skeleton
+   may freeze another variable ([w] inside [v]) over a temporal body, so
+   freezes also sit under either argument of [until], under [next] and
+   [eventually], and nested in one another. *)
 let gen_conjunctive_formula ~depth =
   let open QCheck.Gen in
   let open Ast in
-  let freeze_atom =
+  let freeze_atom var =
     map2
       (fun cmp flip ->
-        if flip then Atom (Cmp (cmp, Obj_attr ("speed", "x"), Attr_var "v"))
-        else Atom (Cmp (cmp, Attr_var "v", Obj_attr ("speed", "x"))))
+        if flip then Atom (Cmp (cmp, Obj_attr ("speed", "x"), Attr_var var))
+        else Atom (Cmp (cmp, Attr_var var, Obj_attr ("speed", "x"))))
       (oneofl [ Gt; Ge; Lt; Le; Eq ])
       bool
   in
-  let leaf = oneof [ gen_open_atom "x"; freeze_atom ] in
-  map
-    (fun body ->
-      Exists
-        ( "x",
-          And
-            ( Atom (Present "x"),
-              Freeze { var = "v"; attr = "speed"; obj = Some "x"; body } ) ))
-    (gen_temporal leaf depth)
+  let freeze var body = Freeze { var; attr = "speed"; obj = Some "x"; body } in
+  let rec body vars depth =
+    let leaf = oneof (gen_open_atom "x" :: List.map freeze_atom vars) in
+    if depth <= 0 then leaf
+    else
+      let sub = body vars (depth - 1) in
+      (* a freeze over a temporal body: over a non-temporal one the
+         freeze is part of an atomic formula, scored by picture
+         retrieval rather than joined with a value table *)
+      let nested =
+        match List.find_opt (fun w -> not (List.mem w vars)) [ "w" ] with
+        | Some w ->
+            let inner = body (w :: vars) (depth - 1) in
+            [
+              ( 2,
+                map (freeze w)
+                  (oneof
+                     [
+                       map (fun g -> Eventually g) inner;
+                       map (fun g -> Next g) inner;
+                       map2 (fun g h -> Until (g, h)) inner inner;
+                     ]) );
+            ]
+        | None -> []
+      in
+      frequency
+        ([
+           (2, map2 (fun g h -> And (g, h)) sub sub);
+           (2, map2 (fun g h -> Until (g, h)) sub sub);
+           (1, map (fun g -> Next g) sub);
+           (1, map (fun g -> Eventually g) sub);
+           (2, leaf);
+         ]
+        @ nested)
+  in
+  let temporal vars depth =
+    let sub = body vars depth in
+    oneof
+      [
+        map (fun g -> Eventually g) sub;
+        map (fun g -> Next g) sub;
+        map2 (fun g h -> Until (g, h)) sub sub;
+      ]
+  in
+  frequency
+    [
+      ( 3,
+        map
+          (fun b -> Exists ("x", And (Atom (Present "x"), freeze "v" b)))
+          (body [ "v" ] depth) );
+      (* the frozen evaluation must carry the corridor across changes of
+         the frozen value *)
+      ( 1,
+        map2
+          (fun g h -> Exists ("x", Until (freeze "v" g, h)))
+          (temporal [ "v" ] (depth - 1))
+          (gen_open_atom "x") );
+    ]
 
 (* nullary named predicates over precomputed tables (the §4.2 setting) *)
 let gen_table_formula ~names ~depth =

@@ -78,6 +78,16 @@ let store_prop ?videos (seed, f) =
   let ctx = Context.of_store (store_of_seed ?videos seed) in
   differential ctx f
 
+(* Longer shot sequences (up to 12 per video) over two objects: an until
+   corridor then often crosses a change of a frozen attribute, which an
+   evaluation split into one row per frozen value cannot follow. *)
+let long_store_prop (seed, f) =
+  let rng = Workload.Rng.make seed in
+  let store =
+    Workload.Movies.random_store rng ~branching:12 ~object_pool:2 ()
+  in
+  differential (Context.of_store store) f
+
 (* --- the precomputed-table stratum (the §4.2 setting) --------------------- *)
 
 let table_names = [ "p1"; "p2"; "p3" ]
@@ -473,6 +483,10 @@ let suites =
           (Helpers.arb_store_formula Helpers.gen_type2_formula);
         Helpers.qtest ~count:60
           "reference = direct = cached = sql (conjunctive)" store_prop
+          (Helpers.arb_store_formula Helpers.gen_conjunctive_formula);
+        Helpers.qtest ~count:500
+          "reference = direct = cached = sql (conjunctive, long shots)"
+          long_store_prop
           (Helpers.arb_store_formula Helpers.gen_conjunctive_formula);
         Helpers.qtest ~count:60 "reference = direct = cached = sql (mixed)"
           store_prop

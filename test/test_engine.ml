@@ -182,6 +182,52 @@ let direct_tests =
         check (float 1e-9) "shot 2 partial" 3. (Sim_list.value_at r 2);
         check (float 1e-9) "shot 3 partial" 3. (Sim_list.value_at r 3);
         check (float 1e-9) "shot 4 zero" 0. (Sim_list.value_at r 4));
+    test_case "a freeze row is one evaluation: until crosses value changes"
+      `Quick (fun () ->
+        (* the gun speeds up 10, 20, 90: the frozen body holds at every
+           shot where the speed is defined, so from shot 1 the until
+           corridor runs through shot 2 (another speed) to the fast gun
+           at shot 3.  Split into one row per speed value, the corridor
+           stopped at the first change and shot 1 scored partially. *)
+        let gun speed =
+          Metadata.Entity.make ~id:3 ~otype:"gun"
+            ~attrs:[ ("speed", Metadata.Value.Int speed) ]
+            ()
+        in
+        let shots =
+          [
+            Metadata.Seg_meta.make ~objects:[ gun 10 ] ();
+            Metadata.Seg_meta.make ~objects:[ gun 20 ] ();
+            Metadata.Seg_meta.make ~objects:[ gun 90 ] ();
+            Metadata.Seg_meta.make ();
+          ]
+        in
+        let store =
+          Video_model.Store.of_video
+            (Video_model.Video.two_level ~title:"guns" shots)
+        in
+        let ctx = Context.without_cache (Context.of_store store) in
+        let f =
+          parse
+            "exists x . (([v <- speed(x)] (eventually (speed(x) >= v))) \
+             until (speed(x) > 80 and type(x) = \"gun\"))"
+        in
+        let oracle = Reference.similarity_over_level ctx f in
+        List.iter
+          (fun backend ->
+            let r = Query.run ~backend ctx f in
+            Array.iteri
+              (fun i s ->
+                check (float 1e-9)
+                  (Printf.sprintf "%s at shot %d" (Query.backend_name backend)
+                     (i + 1))
+                  (Simlist.Sim.actual s)
+                  (Sim_list.value_at r (i + 1)))
+              oracle;
+            check (float 1e-9)
+              (Query.backend_name backend ^ ": shot 1 reaches shot 3")
+              (Sim_list.value_at r 3) (Sim_list.value_at r 1))
+          [ Query.Direct_backend; Query.Sql_backend_choice ]);
     test_case "extended conjunctive: level operator" `Quick (fun () ->
         let store = Fixtures.layered_store () in
         let ctx = Context.of_store store ~level:2 in

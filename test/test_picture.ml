@@ -582,8 +582,92 @@ let staged_tests =
             check (option string) "scored"
               (Some (string_of_int (scanned_total m)))
               (Obs.Trace.attr s "scored");
+            (* one region per value of speed(x), between them and beyond
+               them, under each binding *)
+            check bool "regions" true
+              (match Obs.Trace.attr s "regions" with
+              | Some r -> int_of_string r >= Sim_table.row_count t
+              | None -> false);
             check bool "closed" true (Option.is_some (Obs.Trace.duration_s s))
         | spans -> failf "expected one picture.eval span, got %d" (List.length spans));
+  ]
+
+(* Work counts on the fixed-shape 2.4k-leaf movie store, not timings *)
+let count_tests =
+  let open Alcotest in
+  let level = 3 in
+  let store = lazy (movie_store 1) in
+  let spans_named tr name =
+    List.filter (fun s -> s.Obs.Trace.name = name) (Obs.Trace.spans tr)
+  in
+  let int_attr s k =
+    match Obs.Trace.attr s k with
+    | Some v -> int_of_string v
+    | None -> failf "span %s has no %s" s.Obs.Trace.name k
+  in
+  [
+    test_case "an attribute-variable atom scores each candidate per own class"
+      `Quick (fun () ->
+        (* under a binding, v < speed(x) changes only at the segment's own
+           speed: at most three classes, so at most three scorer calls
+           per candidate, where one per elementary region used to be *)
+        let store = Lazy.force store in
+        let idx = Index.build store ~level in
+        let tr = Obs.Trace.create () in
+        ignore
+          (Retrieval.eval ~tracer:tr ~index:idx store ~level
+             (parse "v < speed(x)"));
+        match spans_named tr "picture.eval" with
+        | [ s ] ->
+            let base =
+              match Obs.Trace.attr s "pruning" with
+              | Some "full" -> Index.segment_count idx
+              | Some c -> int_of_string c
+              | None -> fail "no pruning attr"
+            in
+            let bound =
+              List.fold_left
+                (fun acc oid ->
+                  acc + Array.length (Index.segments_of_object idx oid))
+                0
+                (Index.objects_at_level idx)
+            in
+            let scored = int_attr s "scored" in
+            check bool
+              (Printf.sprintf "scored %d <= 3 x (%d + %d)" scored base bound)
+              true
+              (scored <= 3 * (base + bound));
+            check bool "more regions than bindings" true
+              (int_attr s "regions" > int_attr s "combos")
+        | spans -> failf "expected one picture.eval span, got %d" (List.length spans));
+    test_case "a freeze emits one row per binding" `Quick (fun () ->
+        let store = Lazy.force store in
+        let tr = Obs.Trace.create () in
+        let ctx =
+          Engine.Context.with_tracer
+            (Engine.Context.without_cache (Engine.Context.of_store store))
+            tr
+        in
+        ignore
+          (Engine.Query.run ctx
+             (parse
+                "exists x . (present(x) and ([v <- speed(x)] (v < speed(x) \
+                 until speed(x) <= v)))"));
+        let bindings =
+          List.length (Index.objects_at_level (Index.build store ~level))
+        in
+        match spans_named tr "direct.freeze" with
+        | [ s ] ->
+            let rows = int_attr s "rows" and value_rows = int_attr s "value_rows" in
+            check bool
+              (Printf.sprintf "%d rows for %d bindings" rows bindings)
+              true (rows <= bindings);
+            check bool "several values per binding" true (value_rows > rows);
+            (* every value row read is one matched or the one ending a run:
+               one run per (row, binding) pair *)
+            check bool "visited counts value rows read" true
+              (int_attr s "visited" >= value_rows)
+        | spans -> failf "expected one direct.freeze span, got %d" (List.length spans));
   ]
 
 let suites =
@@ -593,4 +677,5 @@ let suites =
     ("picture.weights", weights_tests);
     ("picture.retrieval", retrieval_tests);
     ("picture.staged", staged_tests);
+    ("picture.counts", count_tests);
   ]

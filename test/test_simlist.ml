@@ -876,6 +876,294 @@ let table_tests =
           (Sim_list.entries r.list));
   ]
 
+(* --- freeze_join against the pair-by-pair join ------------------------- *)
+
+(* The join as §3.3 states it: every (row, value row) pair whose value
+   lies in the row's range and whose bindings agree gives the row's list
+   restricted to that value's spans; then rows with the same (binding,
+   remaining ranges) key are max-merged, one row per evaluation. *)
+let freeze_oracle t ~var vt =
+  let unconstrained =
+    match (Value_table.rows vt : Value_table.row list) with
+    | { value = Range.Vstr _; _ } :: _ -> Range.full_str
+    | _ -> Range.full_int
+  in
+  let unify a b =
+    let merged = List.sort_uniq compare (a @ b) in
+    let keys = List.sort_uniq compare (List.map fst merged) in
+    if List.length keys = List.length merged then Some merged else None
+  in
+  let pairs =
+    List.concat_map
+      (fun (row : Sim_table.row) ->
+        let range =
+          Option.value (List.assoc_opt var row.attrs) ~default:unconstrained
+        in
+        List.filter_map
+          (fun (vr : Value_table.row) ->
+            if not (Range.mem vr.value range) then None
+            else
+              Option.bind (unify row.objs vr.objs) (fun objs ->
+                  let list = Sim_list.restrict row.list vr.spans in
+                  let attrs = List.remove_assoc var row.attrs in
+                  if attrs <> [] || not (Sim_list.is_empty list) then
+                    Some { Sim_table.objs; attrs; list }
+                  else None))
+          (Value_table.rows vt))
+      (Sim_table.rows t)
+  in
+  let keys =
+    List.sort_uniq compare
+      (List.map (fun (r : Sim_table.row) -> (r.objs, r.attrs)) pairs)
+  in
+  List.map
+    (fun (objs, attrs) ->
+      let lists =
+        List.filter_map
+          (fun (r : Sim_table.row) ->
+            if r.objs = objs && r.attrs = attrs then Some r.list else None)
+          pairs
+      in
+      { Sim_table.objs; attrs; list = Sim_list.merge_max lists })
+    keys
+
+let table_repr rows =
+  List.sort compare
+    (List.map
+       (fun (r : Sim_table.row) ->
+         ( r.objs,
+           List.map (fun (k, v) -> (k, Format.asprintf "%a" Range.pp v)) r.attrs,
+           List.map
+             (fun (i, v) -> (Interval.lo i, Interval.hi i, v))
+             (Sim_list.entries r.list) ))
+       rows)
+
+let check_freeze ?visited what t ~var vt =
+  let got = Sim_table.freeze_join ?visited t ~var vt in
+  Alcotest.(check bool)
+    (what ^ ": one row per (binding, ranges)")
+    true
+    (let keys =
+       List.map
+         (fun (r : Sim_table.row) -> (r.objs, r.attrs))
+         (Sim_table.rows got)
+     in
+     List.length keys = List.length (List.sort_uniq compare keys));
+  Alcotest.(check bool)
+    (what ^ ": equals the pair-by-pair join")
+    true
+    (table_repr (Sim_table.rows got)
+    = table_repr (freeze_oracle t ~var vt));
+  got
+
+(* x = 1 has speed 10 on [1,2], 20 on [3,4], 30 on [6,6]; x = 2 has
+   speed 20 on [2,5] *)
+let speeds =
+  Value_table.create ~obj_cols:[ "x" ]
+    [
+      { objs = [ ("x", 1) ]; value = Range.Vint 20; spans = [ iv 3 4 ] };
+      { objs = [ ("x", 2) ]; value = Range.Vint 20; spans = [ iv 2 5 ] };
+      { objs = [ ("x", 1) ]; value = Range.Vint 10; spans = [ iv 1 2 ] };
+      { objs = [ ("x", 1) ]; value = Range.Vint 30; spans = [ iv 6 6 ] };
+    ]
+
+let full_row ?(objs = []) attrs =
+  { Sim_table.objs; attrs; list = sl ~max:1. [ (1, 8, 1.) ] }
+
+let gen_freeze_case =
+  let open QCheck.Gen in
+  let n = 12 in
+  (* per binding, each id gets one of three values or none *)
+  let gen_values strings =
+    let value k =
+      if strings then Range.Vstr (String.make 1 (Char.chr (97 + k)))
+      else Range.Vint (10 * k)
+    in
+    list_repeat n (int_bound 3) >|= fun cells ->
+    List.filter_map
+      (fun k ->
+        let ids =
+          List.mapi (fun i c -> (i + 1, c)) cells
+          |> List.filter (fun (_, c) -> c = k)
+          |> List.map fst
+        in
+        let rec spans = function
+          | [] -> []
+          | id :: rest ->
+              let rec run hi = function
+                | next :: tl when next = hi + 1 -> run next tl
+                | tl -> (hi, tl)
+              in
+              let hi, tl = run id rest in
+              iv id hi :: spans tl
+        in
+        match spans ids with [] -> None | sp -> Some (value k, sp))
+      [ 0; 1; 2 ]
+  in
+  let gen_range strings =
+    if strings then
+      oneof
+        [
+          return Range.full_str;
+          map (fun k -> Range.str_eq (String.make 1 (Char.chr (97 + k)))) (int_bound 3);
+        ]
+    else
+      oneof
+        [
+          map Range.int_le (int_bound 35);
+          map Range.int_ge (int_bound 35);
+          map2 (fun a b -> Range.int_between (min a b) (max a b)) (int_bound 35) (int_bound 35);
+          map (fun k -> Range.int_eq (10 * k)) (int_bound 3);
+        ]
+  in
+  bool >>= fun strings ->
+  list_repeat 2 (gen_values strings) >>= fun per_binding ->
+  let vt =
+    Value_table.create ~obj_cols:[ "x" ]
+      (List.concat
+         (List.mapi
+            (fun b values ->
+              List.map
+                (fun (value, spans) ->
+                  { Value_table.objs = [ ("x", b + 1) ]; value; spans })
+                values)
+            per_binding))
+  in
+  let gen_row =
+    map3
+      (fun objs attrs dense ->
+        {
+          Sim_table.objs;
+          attrs;
+          list = Sim_list.of_dense ~max:2. dense;
+        })
+      (oneofl [ []; [ ("x", 1) ]; [ ("x", 2) ]; [ ("x", 3) ] ])
+      (oneof
+         [
+           return [];
+           map (fun r -> [ ("h", r) ]) (gen_range strings);
+           map (fun r -> [ ("h", r); ("k", Range.full_int) ]) (gen_range strings);
+         ])
+      (Helpers.gen_dense ~density:0.5 ~n ~max:2. ())
+  in
+  list_size (int_range 0 6) gen_row >|= fun rows ->
+  (Sim_table.create ~obj_cols:[ "x" ] ~attr_cols:[ "h"; "k" ] ~max:2. rows, vt)
+
+let freeze_tests =
+  let open Alcotest in
+  [
+    test_case "a wildcard row pairs with every binding, once each" `Quick
+      (fun () ->
+        let t =
+          Sim_table.create ~obj_cols:[ "x" ] ~attr_cols:[ "h" ] ~max:1.
+            [ full_row [ ("h", Range.int_ge 15) ] ]
+        in
+        let visited = ref 0 in
+        let got = check_freeze ~visited "wildcard" t ~var:"h" speeds in
+        check int "one row per binding" 2 (Sim_table.row_count got);
+        (* x = 1: 20 and 30 match, the search lands on 20 and reads to
+           the end; x = 2: 20 matches *)
+        check int "value rows read" 3 !visited;
+        let x1 =
+          List.find
+            (fun (r : Sim_table.row) -> r.objs = [ ("x", 1) ])
+            (Sim_table.rows got)
+        in
+        check (list (pair interval_testable (float 0.)))
+          "the spans of 20 and 30 in one list"
+          [ (iv 3 4, 1.); (iv 6 6, 1.) ]
+          (Sim_list.entries x1.list));
+    test_case "a row binding its object meets that binding only" `Quick
+      (fun () ->
+        let t =
+          Sim_table.create ~obj_cols:[ "x" ] ~attr_cols:[ "h" ] ~max:1.
+            [
+              full_row ~objs:[ ("x", 1) ] [ ("h", Range.int_le 20) ];
+              full_row ~objs:[ ("x", 1) ] [ ("h", Range.int_ge 21) ];
+              full_row ~objs:[ ("x", 2) ] [];
+            ]
+        in
+        let got = check_freeze "bound" t ~var:"h" speeds in
+        (* the two ranges of x = 1 cover all its values: one evaluation *)
+        check int "rows" 2 (Sim_table.row_count got));
+    test_case "a range that holds no value gives no row" `Quick (fun () ->
+        let t =
+          Sim_table.create ~obj_cols:[ "x" ] ~attr_cols:[ "h" ] ~max:1.
+            [
+              full_row ~objs:[ ("x", 1) ] [ ("h", Range.int_between 11 19) ];
+              full_row [ ("h", Range.int_ge 100) ];
+            ]
+        in
+        let got = check_freeze "no value" t ~var:"h" speeds in
+        check int "rows" 0 (Sim_table.row_count got));
+    test_case "string-valued attributes" `Quick (fun () ->
+        let vt =
+          Value_table.create ~obj_cols:[]
+            [
+              { objs = []; value = Range.Vstr "tense"; spans = [ iv 1 3 ] };
+              { objs = []; value = Range.Vstr "calm"; spans = [ iv 4 8 ] };
+            ]
+        in
+        let t =
+          Sim_table.create ~obj_cols:[] ~attr_cols:[ "m" ] ~max:1.
+            [
+              full_row [ ("m", Range.str_eq "calm") ];
+              full_row [ ("m", Range.str_eq "angry") ];
+            ]
+        in
+        let got = check_freeze "strings" t ~var:"m" vt in
+        check int "rows" 1 (Sim_table.row_count got);
+        let any = Sim_table.create ~obj_cols:[] ~attr_cols:[] ~max:1. [ full_row [] ] in
+        let got = check_freeze "strings, unconstrained" any ~var:"m" vt in
+        check (list (pair interval_testable (float 0.)))
+          "every string value" [ (iv 1 8, 1.) ]
+          (Sim_list.entries (List.hd (Sim_table.rows got)).list));
+    test_case "empty rows with a range survive only with ranges left" `Quick
+      (fun () ->
+        let empty attrs =
+          { Sim_table.objs = [ ("x", 2) ]; attrs; list = Sim_list.empty ~max:1. }
+        in
+        let t =
+          Sim_table.create ~obj_cols:[ "x" ] ~attr_cols:[ "h"; "k" ] ~max:1.
+            [
+              empty [ ("h", Range.full_int); ("k", Range.int_le 3) ];
+              empty [ ("h", Range.full_int) ];
+            ]
+        in
+        let got = check_freeze "empty" t ~var:"h" speeds in
+        check
+          (list (list (pair string string)))
+          "the row keeping a k range"
+          [ [ ("k", "[-inf..3]") ] ]
+          (List.map
+             (fun (r : Sim_table.row) ->
+               List.map
+                 (fun (k, v) -> (k, Format.asprintf "%a" Range.pp v))
+                 r.attrs)
+             (Sim_table.rows got)));
+    test_case "overlapping spans within a binding are rejected" `Quick
+      (fun () ->
+        let vt =
+          Value_table.create ~obj_cols:[]
+            [
+              { objs = []; value = Range.Vint 1; spans = [ iv 1 3 ] };
+              { objs = []; value = Range.Vint 2; spans = [ iv 3 4 ] };
+            ]
+        in
+        let t = Sim_table.create ~obj_cols:[] ~attr_cols:[] ~max:1. [ full_row [] ] in
+        check_raises "overlap"
+          (Invalid_argument "Sim_table.freeze_join: one binding's value spans overlap")
+          (fun () -> ignore (Sim_table.freeze_join t ~var:"h" vt)));
+    Helpers.qtest ~count:300 "freeze_join = pair-by-pair join + key merge"
+      (fun (t, vt) ->
+        ignore (check_freeze "random" t ~var:"h" vt);
+        true)
+      (QCheck.make
+         ~print:(fun (t, vt) ->
+           Format.asprintf "%a@.%a" Sim_table.pp t Value_table.pp vt)
+         gen_freeze_case);
+  ]
+
 let suites =
   [
     ("interval", interval_tests);
@@ -889,4 +1177,5 @@ let suites =
     ("sim_list.kernels", kernel_tests);
     ("range", range_tests);
     ("sim_table", table_tests);
+    ("sim_table.freeze", freeze_tests);
   ]
