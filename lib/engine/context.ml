@@ -14,7 +14,6 @@ type t = {
   tables : (string * Simlist.Sim_table.t) list;
   threshold : float;
   conj_mode : Simlist.Sim_list.conj_mode;
-  reorder_joins : bool;
   level : int;
   extent_source : extent_source;
   cache : Cache.t option;
@@ -43,9 +42,9 @@ let preregister m =
   Obs.Metrics.incr m ~by:0 "cache.stale_drops"
 
 let of_store ?(config = Picture.Retrieval.default_config) ?(threshold = 0.5)
-    ?(conj_mode = Simlist.Sim_list.Weighted_sum) ?(reorder_joins = false)
-    ?(tables = []) ?level ?cache ?pool ?(par_cutoff = default_par_cutoff)
-    ?tracer ?metrics ?querylog ?stats ?(planner = true) store =
+    ?(conj_mode = Simlist.Sim_list.Weighted_sum) ?(tables = []) ?level ?cache
+    ?pool ?(par_cutoff = default_par_cutoff) ?tracer ?metrics ?querylog ?stats
+    ?(planner = true) store =
   Option.iter preregister metrics;
   let level =
     match level with Some l -> l | None -> Video_model.Store.levels store
@@ -56,7 +55,6 @@ let of_store ?(config = Picture.Retrieval.default_config) ?(threshold = 0.5)
     tables;
     threshold;
     conj_mode;
-    reorder_joins;
     level;
     extent_source =
       Tracked
@@ -76,9 +74,8 @@ let of_store ?(config = Picture.Retrieval.default_config) ?(threshold = 0.5)
     plan = None;
   }
 
-let of_tables ?(threshold = 0.5)
-    ?(conj_mode = Simlist.Sim_list.Weighted_sum) ?(reorder_joins = false) ~n
-    ?extents ?cache ?pool ?(par_cutoff = default_par_cutoff) ?tracer ?metrics
+let of_tables ?(threshold = 0.5) ?(conj_mode = Simlist.Sim_list.Weighted_sum)
+    ~n ?extents ?cache ?pool ?(par_cutoff = default_par_cutoff) ?tracer ?metrics
     ?querylog ?stats ?(planner = true) tables =
   Option.iter preregister metrics;
   let extents =
@@ -90,7 +87,6 @@ let of_tables ?(threshold = 0.5)
     tables;
     threshold;
     conj_mode;
-    reorder_joins;
     level = 1;
     extent_source = Fixed extents;
     cache = Some (match cache with Some c -> c | None -> Cache.create ());

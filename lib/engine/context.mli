@@ -21,10 +21,6 @@ type t = {
   conj_mode : Simlist.Sim_list.conj_mode;
       (** conjunction semantics; [Weighted_sum] is the paper's (§2.5),
           the others are the §5 "other similarity functions" extension *)
-  reorder_joins : bool;
-      (** when true, the table algorithms flatten [And] chains and join
-          smallest tables first (an optimisation the paper leaves to the
-          relational engine in its SQL variant) *)
   level : int;  (** level the formula is asserted on *)
   extent_source : extent_source;
       (** where the level's proper-sequence partition comes from; read it
@@ -74,10 +70,12 @@ type t = {
           ([with_level], [with_fresh_cache], record updates, ...). *)
   planner : bool;
       (** whether {!Query} builds a cost-based {!Planner} plan before
-          dispatch (default true).  {!without_planner} reverts every
-          planning decision to the pre-planner heuristics: runtime
-          arity-ordered joins, the static pruning rule, and
-          [Auto_backend] resolving to the direct backend. *)
+          dispatch (default true).  The plan orders [And] chains (an
+          engine choice the paper leaves to the relational engine in its
+          SQL variant; it never changes a result).  {!without_planner}
+          reverts every planning decision: joins in written order, the
+          static pruning rule, and [Auto_backend] resolving to the
+          direct backend. *)
   plan : Planner.t option;
       (** the current query's physical plan, attached by {!Query} just
           before dispatch ([None] otherwise).  Scoped to one formula at
@@ -88,7 +86,6 @@ val of_store :
   ?config:Picture.Retrieval.config ->
   ?threshold:float ->
   ?conj_mode:Simlist.Sim_list.conj_mode ->
-  ?reorder_joins:bool ->
   ?tables:(string * Simlist.Sim_table.t) list ->
   ?level:int ->
   ?cache:Cache.t ->
@@ -109,7 +106,6 @@ val of_store :
 val of_tables :
   ?threshold:float ->
   ?conj_mode:Simlist.Sim_list.conj_mode ->
-  ?reorder_joins:bool ->
   n:int ->
   ?extents:Simlist.Extent.t ->
   ?cache:Cache.t ->
@@ -148,8 +144,8 @@ val segment_count : t -> int
 
     {!Query} plans each query just before dispatch when [planner] is on
     and no plan is attached yet; the evaluators ({!Direct}, {!Atomic})
-    and {!Explain} read [plan] and fall back to the runtime heuristics
-    when it is [None]. *)
+    and {!Explain} read [plan] and fall back to written join order and
+    the static pruning rule when it is [None]. *)
 
 val with_plan : t -> Planner.t -> t
 val without_plan : t -> t
@@ -157,9 +153,9 @@ val without_plan : t -> t
 val with_planner : t -> t
 val without_planner : t -> t
 (** Turn cost-based planning off (and drop any attached plan): joins
-    reorder by runtime table arity, atoms follow the static pruning
-    rule, [Auto_backend] resolves to direct.  The heuristic arm of the
-    planned=heuristic differential. *)
+    follow written order, atoms follow the static pruning rule,
+    [Auto_backend] resolves to direct.  The written arm of the
+    planned = written differential. *)
 
 (** {1 Parallel evaluation} *)
 

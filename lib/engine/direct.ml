@@ -187,13 +187,20 @@ let resolve_level (ctx : Context.t) = function
       | Some i -> i
       | None -> unsupported "unknown level %S" name)
 
+(* The order an [And] chain's conjuncts join in, as positions of
+   {!Planner.conjuncts}: the plan's (sparsest estimated support first)
+   when the context carries one, written order otherwise. *)
+let join_order (ctx : Context.t) f ~n =
+  Option.value
+    (Option.bind ctx.plan (fun plan -> Planner.join_order plan f))
+    ~default:(List.init n Fun.id)
+
 (* Span labels name the node kind; the ["formula"] attribute carries the
    hash-consed id so EXPLAIN can match spans back to subformulas. *)
-let node_label (ctx : Context.t) f =
+let node_label f =
   if is_non_temporal f then "direct.atom"
   else
     match f with
-    | And _ when ctx.reorder_joins -> "direct.and_reorder"
     | And _ -> "direct.and"
     | Until _ -> "direct.until"
     | Next _ -> "direct.next"
@@ -226,7 +233,7 @@ let rec eval (ctx : Context.t) f =
   | Some table -> table
   | None ->
       let table =
-        Context.with_span ctx (node_label ctx f) ~attrs:(span_attrs ctx f)
+        Context.with_span ctx (node_label f) ~attrs:(span_attrs ctx f)
           (fun () ->
             let table = eval_raw ctx f in
             Context.add_attr ctx "rows" (fun () ->
@@ -251,68 +258,35 @@ and eval_raw (ctx : Context.t) f =
   if is_non_temporal f then Atomic.resolve ctx f
   else
     match f with
-    | And (_, _) when ctx.reorder_joins ->
-        (* flatten the chain and join in the planned order (sparsest
-           estimated support first) when the context carries a plan,
-           else the runtime arity heuristic (smallest tables first);
-           the conjunction combiners are associative and commutative,
-           so the result is unchanged either way (property-tested) *)
-        let rec flatten = function
-          | And (a, b) -> flatten a @ flatten b
-          | g -> [ g ]
-        in
-        let subs = flatten f in
+    | And _ ->
+        (* the conjunction combiners are associative and commutative, so
+           the join order never changes the result (property-tested) *)
+        let subs = Planner.conjuncts f in
         let tables =
-          match Context.pool_for ctx ~n:(Context.segment_count ctx) with
-          | Some pool ->
-              Context.with_span ctx "pool.conjuncts"
-                ~attrs:(fun () -> [ ("n", string_of_int (List.length subs)) ])
-                (fun () -> Parallel.Pool.parallel_map pool (eval ctx) subs)
-          | None -> List.map (eval ctx) subs
+          Array.of_list
+            (match Context.pool_for ctx ~n:(Context.segment_count ctx) with
+            | Some pool ->
+                Context.with_span ctx "pool.conjuncts"
+                  ~attrs:(fun () ->
+                    [ ("n", string_of_int (List.length subs)) ])
+                  (fun () -> Parallel.Pool.parallel_map pool (eval ctx) subs)
+            | None -> List.map (eval ctx) subs)
         in
-        let planned =
-          match ctx.plan with
-          | None -> None
-          | Some plan -> (
-              match Planner.join_order plan f with
-              | Some order when List.length order = List.length tables ->
-                  let arr = Array.of_list tables in
-                  Some (List.map (fun i -> (i, arr.(i))) order)
-              | Some _ | None -> None)
-        in
-        let sorted =
-          match planned with
-          | Some sorted -> sorted
-          | None ->
-              (* sort (position, table) pairs so the chosen order is
-                 available to the tracer; ties keep syntactic order *)
-              List.sort
-                (fun (i, a) (j, b) ->
-                  compare (Sim_table.row_count a, i) (Sim_table.row_count b, j))
-                (List.mapi (fun i t -> (i, t)) tables)
-        in
-        Context.add_attr ctx "join_plan" (fun () ->
-            if Option.is_some planned then "planned" else "runtime");
+        let order = join_order ctx f ~n:(Array.length tables) in
         Context.add_attr ctx "join_order" (fun () ->
-            String.concat ","
-              (List.map (fun (i, _) -> string_of_int i) sorted));
+            String.concat "," (List.map string_of_int order));
         Context.add_attr ctx "join_rows" (fun () ->
             String.concat ","
               (List.map
-                 (fun (_, t) -> string_of_int (Sim_table.row_count t))
-                 sorted));
+                 (fun i -> string_of_int (Sim_table.row_count tables.(i)))
+                 order));
         let combine = Sim_list.conjunction_mode ctx.conj_mode in
-        (match sorted with
+        (match order with
         | [] -> assert false
-        | (_, first) :: rest ->
+        | first :: rest ->
             List.fold_left
-              (fun acc (_, t) -> Sim_table.join ~combine acc t)
-              first rest)
-    | And (g, h) ->
-        let tg, th = eval_pair ctx g h in
-        Sim_table.join
-          ~combine:(Sim_list.conjunction_mode ctx.conj_mode)
-          tg th
+              (fun acc i -> Sim_table.join ~combine acc tables.(i))
+              tables.(first) rest)
     | Until (g, h) ->
         let tg, th = eval_pair ctx g h in
         Sim_table.join

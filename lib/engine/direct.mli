@@ -51,6 +51,12 @@ val lift_to_parents :
     {!at_level_extents} returns them (a tiling, so sorted); one walk of
     the list serves them all, O(p + l). *)
 
-val node_label : Context.t -> Htl.Ast.t -> string
+val join_order : Context.t -> Htl.Ast.t -> n:int -> int list
+(** The order {!eval} joins the [n] conjuncts of an [And] chain in, as
+    positions of {!Planner.conjuncts}: the attached plan's
+    {!Planner.join_order}, or written order when the context carries no
+    plan (planner off).  Exposed so {!Explain} shows the same order. *)
+
+val node_label : Htl.Ast.t -> string
 (** The span name {!eval} records for this node (see DESIGN.md §2.14);
     exposed so {!Explain} builds its tree with the same labels. *)

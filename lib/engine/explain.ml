@@ -109,22 +109,14 @@ let rec direct_tree (ctx : Context.t) ?take f =
     if is_non_temporal f then (atom_attrs ctx f, [])
     else
       match f with
-      | And _ when ctx.reorder_joins ->
-          let rec flatten = function
-            | And (a, b) -> flatten a @ flatten b
-            | g -> [ g ]
-          in
-          let subs = flatten f in
-          let attrs =
-            if
-              Option.is_none take
-              && Option.is_none
-                   (Option.bind ctx.plan (fun p -> Planner.join_order p f))
-            then [ ("reorder", "joins smallest table first at runtime") ]
-            else []
-          in
-          (attrs, List.map (direct_tree ctx ?take) subs)
-      | And (g, h) | Until (g, h) ->
+      | And _ ->
+          (* one flattened node, children in the order Direct joins them *)
+          let subs = Array.of_list (Planner.conjuncts f) in
+          ( [],
+            List.map
+              (fun i -> direct_tree ctx ?take subs.(i))
+              (Direct.join_order ctx f ~n:(Array.length subs)) )
+      | Until (g, h) ->
           ([], [ direct_tree ctx ?take g; direct_tree ctx ?take h ])
       | Next g | Eventually g -> ([], [ direct_tree ctx ?take g ])
       | Exists (x, g) -> ([ ("var", x) ], [ direct_tree ctx ?take g ])
@@ -145,7 +137,7 @@ let rec direct_tree (ctx : Context.t) ?take f =
       | Not g -> ([], [ direct_tree ctx ?take g ])
       | Atom _ -> ([], [])
   in
-  node (Direct.node_label ctx f) ~timing
+  node (Direct.node_label f) ~timing
     ~attrs:(structural @ est_attrs ctx f @ span_attrs)
     children
 

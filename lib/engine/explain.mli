@@ -4,7 +4,7 @@
     tree the backend would walk (one node per subformula, labelled with
     the span names of DESIGN.md §2.14), and — when built from an
     analyzed run ({!Query.explain} with [~analyze:true]) — per-node wall
-    times and recorded attributes (row counts, the And-reorder
+    times and recorded attributes (row counts, an And chain's
     ["join_order"], SQL statement counts).  A node the subformula cache
     served shows as [Cached]: no span was recorded because nothing ran.
 
@@ -53,9 +53,10 @@ type report = {
 
 val direct_tree :
   Context.t -> ?take:(Htl.Ast.t -> Obs.Trace.span option) -> Htl.Ast.t -> node
-(** Mirror of {!Direct.eval}'s dispatch (including And-chain flattening
-    under [reorder_joins]).  [take], when given, yields each
-    subformula's recorded span — use {!span_lookup}. *)
+(** Mirror of {!Direct.eval}'s dispatch: an [And] chain is one node
+    whose children are its conjuncts in {!Direct.join_order}.  [take],
+    when given, yields each subformula's recorded span — use
+    {!span_lookup}. *)
 
 val type1_tree :
   Context.t -> ?take:(Htl.Ast.t -> Obs.Trace.span option) -> Htl.Ast.t -> node

@@ -25,7 +25,8 @@ module Sim_table = Simlist.Sim_table
    The plan decides three things, none of which can change results
    (every choice picks between evaluation strategies that are
    property-tested equal):
-   - conjunct order for reordered [And] chains (sparsest first);
+   - conjunct order for [And] chains (sparsest first), which
+     [Direct] folds in;
    - index-vs-scan per non-temporal unit (pruning is sound either way);
    - direct-vs-SQL backend under [`Auto] (both backends are
      differential-tested equal). *)
@@ -50,7 +51,6 @@ type node_est = {
 
 type t = {
   nodes : (int, node_est) Hashtbl.t;
-  segments : int;
   scan_threshold : float;
   direct_cost : float;
   sql_cost : float;
@@ -77,7 +77,12 @@ let named_table ~tables = function
   | Atom (Rel (name, [])) -> List.assoc_opt name tables
   | _ -> None
 
-let rec flatten = function And (a, b) -> flatten a @ flatten b | g -> [ g ]
+(* A non-temporal sub-conjunction is one unit, scored whole by
+   [Atomic.resolve] (one weighted-sum picture scan, as the reference
+   semantics scores it): the chain splits only at temporal [And]s. *)
+let rec conjuncts = function
+  | And (a, b) as g when not (is_non_temporal g) -> conjuncts a @ conjuncts b
+  | g -> [ g ]
 
 let build ?stats ?index ?(scan_threshold = default_scan_threshold) ~tables
     ~taxonomy ~prune ~segments ~level f =
@@ -207,10 +212,10 @@ let build ?stats ?index ?(scan_threshold = default_scan_threshold) ~tables
       match g with
       | And (a, b) ->
           let ea = walk locals a and eb = walk locals b in
-          (* the whole chain rooted here, in evaluation-flatten order:
-             the planned join order is a permutation of its positions,
-             sparsest estimate first (ties keep syntactic order) *)
-          let subs = flatten g in
+          (* the whole chain rooted here, in written order: the planned
+             join order is a permutation of its positions, sparsest
+             estimate first (ties keep written order) *)
+          let subs = conjuncts g in
           let ests =
             List.mapi
               (fun i s ->
@@ -331,14 +336,12 @@ let build ?stats ?index ?(scan_threshold = default_scan_threshold) ~tables
   in
   {
     nodes;
-    segments;
     scan_threshold;
     direct_cost = root.est_cost;
     sql_cost;
   }
 
 let find t g = Hashtbl.find_opt t.nodes (Htl.Hcons.intern_id g)
-let segments t = t.segments
 let direct_cost t = t.direct_cost
 let sql_cost t = t.sql_cost
 let scan_threshold t = t.scan_threshold
@@ -367,22 +370,10 @@ let node_attrs t g =
   match find t g with
   | None -> []
   | Some e ->
-      let base =
-        [
-          ("est_rows", string_of_int e.est_rows);
-          ("est_cost", Printf.sprintf "%.3g" e.est_cost);
-        ]
-      in
-      let order =
-        match e.order with
-        | Some order when List.length order > 1 ->
-            [
-              ( "est_join_order",
-                String.concat "," (List.map string_of_int order) );
-            ]
-        | _ -> []
-      in
-      base @ order
+      [
+        ("est_rows", string_of_int e.est_rows);
+        ("est_cost", Printf.sprintf "%.3g" e.est_cost);
+      ]
 
 (* --- backend choice ------------------------------------------------------ *)
 

@@ -5,9 +5,9 @@
     and abstract cost, and from those three decisions —
 
     {ul
-    {- {e conjunct order} for reordered [And] chains: sparsest estimate
-       first, replacing the runtime table-arity heuristic in
-       {!Direct};}
+    {- {e conjunct order} for [And] chains: sparsest estimate first,
+       the order {!Direct} folds the chain in (written order when the
+       planner is off);}
     {- {e index-vs-scan} per non-temporal unit: estimated selectivity
        above the crossover threshold (calibrated against
        [BENCH_index.json]'s selectivity sweep) turns index pruning off
@@ -26,7 +26,7 @@
     No plan decision can change results: conjunction combiners are
     associative and commutative (property-tested), index pruning is
     sound either way (differential-tested), and the two backends are
-    result-equal (differential-tested).  See the planned=heuristic
+    result-equal (differential-tested).  See the planned = written
     differential in [test/test_planner.ml]. *)
 
 type access =
@@ -44,7 +44,7 @@ type node_est = {
   est_cost : float;  (** abstract work units (1 = scoring a segment) *)
   access : access option;  (** [Some] on non-temporal leaf units *)
   order : int list option;
-      (** planned conjunct order ([And] chains): flatten positions,
+      (** planned conjunct order ([And] chains): positions of {!conjuncts},
           sparsest first *)
 }
 
@@ -70,8 +70,16 @@ val build :
 val find : t -> Htl.Ast.t -> node_est option
 (** The subformula's estimate, by hash-consed identity. *)
 
+val conjuncts : Htl.Ast.t -> Htl.Ast.t list
+(** An [And] chain's conjuncts in written order (a non-[And] formula is
+    its own one-conjunct chain): the positions {!join_order} permutes.
+    The chain splits only at temporal [And]s; a non-temporal
+    sub-conjunction stays one conjunct, the unit the planner estimates
+    and [Atomic.resolve] scores whole. *)
+
 val join_order : t -> Htl.Ast.t -> int list option
-(** Planned conjunct order for an [And] chain rooted at the node. *)
+(** Planned conjunct order for an [And] chain rooted at the node, as
+    positions of {!conjuncts}. *)
 
 val access : t -> Htl.Ast.t -> access option
 (** Planned access path for a non-temporal leaf unit. *)
@@ -86,11 +94,10 @@ val access_to_string : access -> string
     ["scan (planned, est sel 0.93)"]. *)
 
 val node_attrs : t -> Htl.Ast.t -> (string * string) list
-(** EXPLAIN attributes for a node: [est_rows], [est_cost], and
-    [est_join_order] on planned [And] chains.  Empty when the node is
-    unknown to the plan. *)
+(** EXPLAIN attributes for a node: [est_rows] and [est_cost].  Empty
+    when the node is unknown to the plan.  The join order is not among
+    them: the [direct.and] node records the order it used. *)
 
-val segments : t -> int
 val scan_threshold : t -> float
 
 val direct_cost : t -> float

@@ -145,7 +145,7 @@ val explain :
     class, one node per subformula.  With [~analyze:true] the query
     actually runs under a private tracer (the context's own tracer is
     untouched) and the report carries per-node wall times, recorded
-    attributes (row counts, the And-reorder conjunct order), the
+    attributes (row counts, an And chain's join order), the
     whole-query total — and, on the SQL backend, the executed script as
     {!Relational.Plan} operator trees.  Nodes served by a warm
     subformula cache show as cached.

@@ -78,8 +78,8 @@ let partition n videos =
   | [] -> invalid_arg "Sharded: empty store"
   | _ -> go 0 0 [] [] videos
 
-let create ?(shards = 1) ?config ?threshold ?conj_mode ?reorder_joins ?level
-    ?planner ?pool ?par_cutoff ?metrics ?querylog ?stats store =
+let create ?(shards = 1) ?config ?threshold ?conj_mode ?level ?planner ?pool
+    ?par_cutoff ?metrics ?querylog ?stats store =
   if shards < 1 then
     invalid_arg (Printf.sprintf "Sharded.create: shards %d < 1" shards);
   (* partition the *current* trees: edits and appends made to the source
@@ -90,9 +90,8 @@ let create ?(shards = 1) ?config ?threshold ?conj_mode ?reorder_joins ?level
   let ctxs =
     List.map
       (fun group ->
-        Context.of_store ?config ?threshold ?conj_mode ?reorder_joins ?level
-          ?planner ?pool ?par_cutoff ?metrics ?querylog ?stats
-          (Store.create group))
+        Context.of_store ?config ?threshold ?conj_mode ?level ?planner ?pool
+          ?par_cutoff ?metrics ?querylog ?stats (Store.create group))
       groups
   in
   make ctxs
@@ -453,8 +452,8 @@ let save_snapshot t path =
   in
   Storage.Snapshot.save path shards
 
-let load_snapshot ?config ?threshold ?conj_mode ?reorder_joins ?level ?pool
-    ?par_cutoff ?metrics ?querylog ?stats path =
+let load_snapshot ?config ?threshold ?conj_mode ?level ?pool ?par_cutoff
+    ?metrics ?querylog ?stats path =
   let shards = Storage.Snapshot.load path in
   let ctxs =
     List.map
@@ -463,8 +462,8 @@ let load_snapshot ?config ?threshold ?conj_mode ?reorder_joins ?level ?pool
         Picture.Index.Registry.preload registry
           ~version:(Store.version store) indexes;
         Context.with_registry
-          (Context.of_store ?config ?threshold ?conj_mode ?reorder_joins
-             ?level ?pool ?par_cutoff ?metrics ?querylog ?stats store)
+          (Context.of_store ?config ?threshold ?conj_mode ?level ?pool
+             ?par_cutoff ?metrics ?querylog ?stats store)
           registry)
       shards
   in

@@ -41,7 +41,6 @@ val create :
   ?config:Picture.Retrieval.config ->
   ?threshold:float ->
   ?conj_mode:Simlist.Sim_list.conj_mode ->
-  ?reorder_joins:bool ->
   ?level:int ->
   ?planner:bool ->
   ?pool:Parallel.Pool.t ->
@@ -227,7 +226,6 @@ val load_snapshot :
   ?config:Picture.Retrieval.config ->
   ?threshold:float ->
   ?conj_mode:Simlist.Sim_list.conj_mode ->
-  ?reorder_joins:bool ->
   ?level:int ->
   ?pool:Parallel.Pool.t ->
   ?par_cutoff:int ->

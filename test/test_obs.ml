@@ -304,7 +304,14 @@ let explain_tests =
         let untimed (n : Explain.node) = n.Explain.timing = Explain.Untimed in
         check bool "every node untimed" true
           (Option.is_none
-             (find_node (fun n -> not (untimed n)) r.Explain.tree)));
+             (find_node (fun n -> not (untimed n)) r.Explain.tree));
+        (* type (1) folds And pairwise and never reorders, so no node
+           may print a join order *)
+        check bool "no est_join_order" true
+          (Option.is_none
+             (find_node
+                (fun n -> List.mem_assoc "est_join_order" n.Explain.attrs)
+                r.Explain.tree)));
     test_case "analyzed explain: per-node timings and total" `Quick (fun () ->
         let ctx = Context.without_cache (C.context ()) in
         let r = Query.explain ~analyze:true ctx (parse C.query1) in
@@ -357,9 +364,10 @@ let explain_tests =
           Workload.Movies.random_store rng ~videos:2 ~branching:6
             ~object_pool:8 ()
         in
-        let ctx = Context.of_store ~reorder_joins:true store in
+        let ctx = Context.of_store store in
         (* conjuncts share the free x, so this is type (2): it goes
-           through the table algorithms where And-reordering lives *)
+           through the table algorithms, which fold the chain as one
+           flattened And *)
         let f =
           parse
             "exists x . (present(x) and type(x) = \"train\" and eventually \
@@ -367,9 +375,9 @@ let explain_tests =
         in
         let r = Query.explain ~analyze:true ctx f in
         match
-          find_node (fun n -> n.Explain.label = "direct.and_reorder") r.Explain.tree
+          find_node (fun n -> n.Explain.label = "direct.and") r.Explain.tree
         with
-        | None -> fail "no direct.and_reorder node"
+        | None -> fail "no direct.and node"
         | Some n ->
             check int "three conjuncts" 3 (List.length n.Explain.children);
             check bool "join_order recorded" true

@@ -12,10 +12,15 @@
      random corpus (and never exceeds the level), and a named table's
      planned cardinality is its exact segment coverage.
 
-   - planned = heuristic differential (qcheck): across the four formula
+   - planned = written differential (qcheck): across the four formula
      strata, both backends, sharded and unsharded, evaluation with the
      planner must be byte-equal ({!Sim_list.equal}) to evaluation with
-     it disabled — no plan decision may change results, only cost. *)
+     it disabled (joins in written order) — no plan decision may change
+     results, only cost.
+
+   A last check pins the served path: a default [Sharded.create] handle
+   (what [htlq serve] answers through) folds a type (2) chain in the
+   planned order. *)
 
 open Engine
 module Sim_list = Simlist.Sim_list
@@ -33,9 +38,12 @@ let plan_of (ctx : Context.t) f =
     ~segments:(Context.segment_count ctx)
     ~level:ctx.level f
 
+(* a chain splits only at temporal [And]s: a non-temporal sub-conjunction
+   is one unit, scored whole *)
 let rec flatten f =
   match f with
-  | Htl.Ast.And (a, b) -> flatten a @ flatten b
+  | Htl.Ast.And (a, b) when not (Htl.Ast.is_non_temporal f) ->
+      flatten a @ flatten b
   | _ -> [ f ]
 
 let rec subformulas f =
@@ -52,7 +60,7 @@ let rec subformulas f =
 (* --- join-order monotonicity --------------------------------------------- *)
 
 let monotonic_prop (seed, f) =
-  let ctx = Context.of_store ~reorder_joins:true (store_of_seed seed) in
+  let ctx = Context.of_store (store_of_seed seed) in
   let plan = plan_of ctx f in
   List.iter
     (fun g ->
@@ -74,15 +82,16 @@ let monotonic_prop (seed, f) =
                   (Htl.Pretty.to_string g);
               seen.(i) <- true)
             order;
-          (* a conjunct inside a larger non-temporal unit is never
-             walked on its own: the planner scores it at the level
-             bound, and so does this check *)
+          (* every conjunct is a planned unit, so each has an estimate *)
           let rows =
             List.map
               (fun i ->
                 match Planner.find plan chain.(i) with
                 | Some e -> e.Planner.est_rows
-                | None -> Planner.segments plan)
+                | None ->
+                    QCheck.Test.fail_reportf "conjunct %s has no estimate in %s"
+                      (Htl.Pretty.to_string chain.(i))
+                      (Htl.Pretty.to_string g))
               order
           in
           let rec non_decreasing = function
@@ -170,7 +179,7 @@ let scan_threshold_demotes () =
     (Planner.scan_override (build 1.1) f)
 
 let auto_backend_decision () =
-  let ctx = Context.of_store ~reorder_joins:true (store_of_seed 7) in
+  let ctx = Context.of_store (store_of_seed 7) in
   let f =
     Htl.Parser.formula_of_string
       "(exists z . present(z)) until (exists z . moving(z))"
@@ -207,21 +216,20 @@ let auto_backend_decision () =
     "warm reason cites observations" true
     (Helpers.contains warm.Planner.reason "observed")
 
-(* --- planned = heuristic differential ------------------------------------- *)
+(* --- planned = written differential --------------------------------------- *)
 
 let outcome run =
   match run () with
   | list -> Ok list
   | exception Query.Error msg -> Error msg
 
-let planned_heuristic_prop (seed, f) =
-  let store = store_of_seed seed in
-  let check what planned heuristic =
-    match (planned, heuristic) with
+let planned_written store f =
+  let check what planned written =
+    match (planned, written) with
     | Ok a, Ok b ->
         if not (Sim_list.equal a b) then
           QCheck.Test.fail_reportf
-            "planned %s differs from the heuristic evaluation on %s" what
+            "planned %s differs from the written-order evaluation on %s" what
             (Htl.Pretty.to_string f)
     | Error _, Error _ -> ()
     | _ ->
@@ -231,22 +239,82 @@ let planned_heuristic_prop (seed, f) =
   in
   List.iter
     (fun (bname, backend) ->
-      let planned_ctx = Context.of_store ~reorder_joins:true store in
-      let heur_ctx =
-        Context.of_store ~planner:false ~reorder_joins:true store
-      in
+      let planned_ctx = Context.of_store store in
+      let written_ctx = Context.of_store ~planner:false store in
       check bname
         (outcome (fun () -> Query.run ~backend planned_ctx f))
-        (outcome (fun () -> Query.run ~backend heur_ctx f));
-      let planned_sh = Sharded.create ~shards:2 ~reorder_joins:true store in
-      let heur_sh =
-        Sharded.create ~shards:2 ~planner:false ~reorder_joins:true store
-      in
+        (outcome (fun () -> Query.run ~backend written_ctx f));
+      let planned_sh = Sharded.create ~shards:2 store in
+      let written_sh = Sharded.create ~shards:2 ~planner:false store in
       check (bname ^ ", sharded")
         (outcome (fun () -> Sharded.run ~backend planned_sh f))
-        (outcome (fun () -> Sharded.run ~backend heur_sh f)))
+        (outcome (fun () -> Sharded.run ~backend written_sh f)))
     [ ("direct", Query.Direct_backend); ("sql", Query.Sql_backend_choice) ];
   true
+
+let planned_written_prop (seed, f) = planned_written (store_of_seed seed) f
+
+(* hand-written chains over the western fixture, one under [until] *)
+let planned_written_western () =
+  let store = Fixtures.western_store () in
+  List.iter
+    (fun q ->
+      ignore (planned_written store (Htl.Parser.formula_of_string q)))
+    [
+      "exists x, y . (present(x) and name(x) = \"John Wayne\") until \
+       fires_at(x, y)";
+      "(exists x . type(x) = \"train\") and (exists x . type(x) = \"man\") \
+       and eventually (exists x . type(x) = \"woman\")";
+    ]
+
+(* the movie generator's own type (2) formulas over a one-video store *)
+let planned_written_movies seed =
+  let rng = Workload.Rng.make seed in
+  let store =
+    Workload.Movies.random_store rng ~videos:1 ~branching:4 ~object_pool:4 ()
+  in
+  planned_written store (Workload.Movies.random_type2_formula rng ~depth:2)
+
+(* --- the served path folds in the planned order --------------------------- *)
+
+(* [htlq serve] answers through a [Sharded.create] handle with default
+   arguments, so the planner is on.  A type (2) chain written
+   dense-coverage first must show one flattened [direct.and] node whose
+   recorded [join_order] is the plan's.  Join order never changes a
+   result, so the differentials above cannot see a served chain that
+   ignores the plan; this check does. *)
+let served_chain_uses_plan () =
+  let rng = Workload.Rng.make 321 in
+  let store =
+    Workload.Movies.random_store rng ~videos:2 ~branching:8 ~object_pool:12 ()
+  in
+  let ctx = (Sharded.contexts (Sharded.create store)).(0) in
+  let body =
+    Htl.Parser.formula_of_string
+      "present(x) and speed(x) = 10 and name(x) = \"alpha\" and eventually \
+       (name(x) = \"alpha\")"
+  in
+  let f = Htl.Ast.Exists ("x", body) in
+  let planned =
+    match Planner.join_order (plan_of ctx f) body with
+    | Some order -> order
+    | None -> Alcotest.fail "no planned order for the chain"
+  in
+  Alcotest.(check bool)
+    "the plan reorders the written chain" true
+    (planned <> List.init (List.length planned) Fun.id);
+  let rec ands (n : Explain.node) =
+    (if n.Explain.label = "direct.and" then [ n ] else [])
+    @ List.concat_map ands n.Explain.children
+  in
+  match ands (Query.explain ~analyze:true ctx f).Explain.tree with
+  | [ n ] ->
+      Alcotest.(check (option string))
+        "join_order is the planned order"
+        (Some (String.concat "," (List.map string_of_int planned)))
+        (List.assoc_opt "join_order" n.Explain.attrs)
+  | nodes ->
+      Alcotest.failf "%d direct.and nodes, expected one" (List.length nodes)
 
 let suites =
   [
@@ -264,17 +332,27 @@ let suites =
           scan_threshold_demotes;
         Alcotest.test_case "auto backend: static then observed" `Quick
           auto_backend_decision;
-        Helpers.qtest ~count:40 "planned = heuristic (type 1)"
-          planned_heuristic_prop
+        Helpers.qtest ~count:40 "planned = written (type 1)"
+          planned_written_prop
           (Helpers.arb_store_formula Helpers.gen_type1_formula);
-        Helpers.qtest ~count:40 "planned = heuristic (type 2)"
-          planned_heuristic_prop
+        Helpers.qtest ~count:40 "planned = written (type 2)"
+          planned_written_prop
           (Helpers.arb_store_formula Helpers.gen_type2_formula);
-        Helpers.qtest ~count:40 "planned = heuristic (conjunctive)"
-          planned_heuristic_prop
+        Helpers.qtest ~count:40 "planned = written (conjunctive)"
+          planned_written_prop
           (Helpers.arb_store_formula Helpers.gen_conjunctive_formula);
-        Helpers.qtest ~count:40 "planned = heuristic (mixed strata)"
-          planned_heuristic_prop
+        Helpers.qtest ~count:40 "planned = written (mixed strata)"
+          planned_written_prop
           (Helpers.arb_store_formula Helpers.gen_closed_formula);
+        Alcotest.test_case "planned = written (western chains)" `Quick
+          planned_written_western;
+        Helpers.qtest ~count:30 "planned = written (movie type 2)"
+          planned_written_movies
+          (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.int);
+      ] );
+    ( "planner.served",
+      [
+        Alcotest.test_case "served And chain joins in the planned order"
+          `Quick served_chain_uses_plan;
       ] );
   ]
