@@ -30,7 +30,8 @@ let rec resolve (ctx : Context.t) f =
           try
             Picture.Retrieval.eval ~config ?pool ?tracer:ctx.tracer
               ?metrics:ctx.metrics ?stats:ctx.stats
-              ?index:(Context.index ctx) store ~level:ctx.level f
+              ?index:(Context.index ctx) ~domains:ctx.domains store
+              ~level:ctx.level f
           with Picture.Retrieval.Unsupported msg -> raise (Unsupported msg))
       | None -> (
           (* store-less contexts resolve only named tables; decompose the

@@ -2,15 +2,16 @@ type key = {
   formula : int;
   level : int;
   extents : int list;  (* extent lengths: the proper-sequence partition *)
+  domains : (string * Picture.Retrieval.domain) list;
 }
 
-let key ~formula ~level ~extents =
+let key ~formula ~level ~extents ~domains =
   let lengths =
     List.map
       (fun iv -> Simlist.Interval.hi iv - Simlist.Interval.lo iv + 1)
       (Simlist.Extent.spans extents)
   in
-  { formula; level; extents = lengths }
+  { formula; level; extents = lengths; domains }
 
 type stats = {
   hits : int;

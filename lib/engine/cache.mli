@@ -40,8 +40,15 @@
 
 type key
 
-val key : formula:int -> level:int -> extents:Simlist.Extent.t -> key
-(** [formula] is {!Htl.Hcons.intern_id} of the subformula. *)
+val key :
+  formula:int ->
+  level:int ->
+  extents:Simlist.Extent.t ->
+  domains:(string * Picture.Retrieval.domain) list ->
+  key
+(** [formula] is {!Htl.Hcons.intern_id} of the subformula; [domains] the
+    enclosing freezes of its free attribute variables (empty outside
+    every freeze), which decide the region rows its atoms build. *)
 
 type stats = {
   hits : int;

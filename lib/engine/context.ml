@@ -27,6 +27,7 @@ type t = {
   registry : Picture.Index.Registry.t;
   planner : bool;
   plan : Planner.t option;
+  domains : (string * Picture.Retrieval.domain) list;
 }
 
 let default_par_cutoff = 4096
@@ -72,6 +73,7 @@ let of_store ?(config = Picture.Retrieval.default_config) ?(threshold = 0.5)
     registry = Picture.Index.Registry.create ();
     planner;
     plan = None;
+    domains = [];
   }
 
 let of_tables ?(threshold = 0.5) ?(conj_mode = Simlist.Sim_list.Weighted_sum)
@@ -100,11 +102,28 @@ let of_tables ?(threshold = 0.5) ?(conj_mode = Simlist.Sim_list.Weighted_sum)
     registry = Picture.Index.Registry.create ();
     planner;
     plan = None;
+    domains = [];
   }
 
-(* the old level's estimates do not describe the new level — replan *)
+(* the old level's estimates do not describe the new level — replan;
+   nor do a freeze's values at the old level bound the new level's *)
 let with_level t ~level ~extents =
-  { t with level; extent_source = Fixed extents; plan = None }
+  { t with level; extent_source = Fixed extents; plan = None; domains = [] }
+
+let with_domain t ~var domain =
+  { t with domains = (var, domain) :: List.remove_assoc var t.domains }
+
+let shadow_obj_var t x =
+  match t.domains with
+  | [] -> t
+  | domains ->
+      {
+        t with
+        domains =
+          List.filter
+            (fun (_, (d : Picture.Retrieval.domain)) -> d.obj <> Some x)
+            domains;
+      }
 
 let with_registry t registry = { t with registry }
 
@@ -160,9 +179,20 @@ let index t =
         (Picture.Index.Registry.get t.registry ?metrics:t.metrics s
            ~level:t.level)
 
+(* A subformula's table depends on the domains of its free attribute
+   variables (the region rows their freezes let it build), so those are
+   part of its key; outside every freeze there are none to look up. *)
 let cache_key t f =
+  let domains =
+    match t.domains with
+    | [] -> []
+    | ds ->
+        List.filter_map
+          (fun y -> Option.map (fun d -> (y, d)) (List.assoc_opt y ds))
+          (Htl.Ast.free_attr_vars f)
+  in
   Cache.key ~formula:(Htl.Hcons.intern_id f) ~level:t.level
-    ~extents:(extents t)
+    ~extents:(extents t) ~domains
 
 (* Extent-scoped validity of a cached entry computed at [stamp], probed
    at the current version: replay the store's change log and keep the

@@ -80,6 +80,15 @@ type t = {
       (** the current query's physical plan, attached by {!Query} just
           before dispatch ([None] otherwise).  Scoped to one formula at
           the context's level: {!with_level} clears it. *)
+  domains : (string * Picture.Retrieval.domain) list;
+      (** the freezes enclosing the formula being evaluated, one per
+          attribute variable in scope: [var ↦ (attr, obj)].  Set by the
+          evaluators' freeze arms ({!with_domain}); {!Atomic.resolve}
+          hands them to {!Picture.Retrieval.eval}, which builds only the
+          region rows those freezes can keep, and the subformula cache
+          key carries the ones free in the subformula.  {!with_level}
+          clears it: a freeze's values at one level say nothing about
+          another. *)
 }
 
 val of_store :
@@ -126,6 +135,14 @@ val with_level : t -> level:int -> extents:Simlist.Extent.t -> t
 (** Pin the level and its partition.  The extents are a snapshot: a
     context derived this way does not track later appends — derive a
     fresh one per request (the server does) or use {!of_store}. *)
+
+val with_domain : t -> var:string -> Picture.Retrieval.domain -> t
+(** Evaluate a freeze's body: record [[var <- attr(obj)]], replacing an
+    outer freeze of the same variable. *)
+
+val shadow_obj_var : t -> string -> t
+(** Evaluate the body of [exists x]: drop the domains whose object
+    variable is [x], which names another object there. *)
 
 val extents : t -> Simlist.Extent.t
 (** The current proper-sequence partition of the context's level.  For

@@ -28,96 +28,28 @@ let map_lists f table =
        (Sim_table.rows table))
 
 (* value table of attribute function [attr] (of an object variable or of
-   the segment itself) over the context's level.  The per-object span
-   extraction (the freeze-quantifier candidates) fans out across the
-   context's pool; each object's scan only reads the store and the
-   posting index. *)
+   the segment itself) over the context's level: the registry's
+   finalized index keeps it from the first query that freezes [attr] at
+   this level, and each call names its object column [obj] *)
 let value_table (ctx : Context.t) ~attr ~obj =
   let store = require_store ctx "the freeze quantifier" in
-  let n = Store.count_at store ~level:ctx.level in
-  let to_range_value id = function
-    | Metadata.Value.Int k -> Some (Simlist.Range.Vint k)
-    | Metadata.Value.Str s -> Some (Simlist.Range.Vstr s)
-    | Metadata.Value.Float _ ->
-        unsupported
-          "frozen attribute %s has a float value at segment %d (§3.3 \
-           restricts attribute variables to integers)"
-          attr id
-    | Metadata.Value.Bool _ ->
-        unsupported "frozen attribute %s has a boolean value" attr
-  in
-  (* group consecutive segments with the same value into spans *)
-  let spans_of values =
-    (* values : (id, value) list, ascending ids *)
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (id, v) ->
-        let spans = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
-        let spans =
-          match spans with
-          | last :: rest when Interval.hi last + 1 = id ->
-              Interval.make (Interval.lo last) id :: rest
-          | _ -> Interval.point id :: spans
+  let idx = Option.get (Context.index ctx) in
+  match Picture.Index.frozen_values idx store ~attr ~objects:(obj <> None) with
+  | Error (`Float id) ->
+      unsupported
+        "frozen attribute %s has a float value at segment %d (§3.3 \
+         restricts attribute variables to integers)"
+        attr id
+  | Error `Bool -> unsupported "frozen attribute %s has a boolean value" attr
+  | Ok rows ->
+      let row (r : Picture.Index.value_row) =
+        let objs =
+          match (obj, r.oid) with Some x, Some oid -> [ (x, oid) ] | _ -> []
         in
-        Hashtbl.replace tbl v spans)
-      values;
-    Hashtbl.fold (fun v spans acc -> (v, List.rev spans) :: acc) tbl []
-  in
-  match obj with
-  | None ->
-      let values = ref [] in
-      for id = n downto 1 do
-        match Metadata.Seg_meta.attr (Store.meta store ~level:ctx.level ~id) attr with
-        | Some v -> (
-            match to_range_value id v with
-            | Some rv -> values := (id, rv) :: !values
-            | None -> ())
-        | None -> ()
-      done;
-      Simlist.Value_table.create ~obj_cols:[]
-        (List.map
-           (fun (v, spans) -> { Simlist.Value_table.objs = []; value = v; spans })
-           (spans_of !values))
-  | Some x ->
-      (* the registry's finalized index — the same one the atomic
-         evaluator uses, so one query builds at most once *)
-      let idx =
-        match Context.index ctx with
-        | Some idx -> idx
-        | None -> Picture.Index.build ?metrics:ctx.metrics store ~level:ctx.level
+        { Simlist.Value_table.objs; value = r.value; spans = r.spans }
       in
-      let rows_of oid =
-        let values = ref [] in
-        let segs = Picture.Index.segments_of_object idx oid in
-        for k = Array.length segs - 1 downto 0 do
-          let id = segs.(k) in
-          match
-            Metadata.Seg_meta.object_attr
-              (Store.meta store ~level:ctx.level ~id)
-              oid attr
-          with
-          | Some v -> (
-              match to_range_value id v with
-              | Some rv -> values := (id, rv) :: !values
-              | None -> ())
-          | None -> ()
-        done;
-        List.map
-          (fun (v, spans) ->
-            { Simlist.Value_table.objs = [ (x, oid) ]; value = v; spans })
-          (spans_of !values)
-      in
-      let oids = Picture.Index.objects_at_level idx in
-      let rows =
-        match Context.pool_for ctx ~n:(Store.count_at store ~level:ctx.level) with
-        | Some pool ->
-            Context.with_span ctx "pool.objects"
-              ~attrs:(fun () -> [ ("n", string_of_int (List.length oids)) ])
-              (fun () ->
-                List.concat (Parallel.Pool.parallel_map pool rows_of oids))
-        | None -> List.concat_map rows_of oids
-      in
-      Simlist.Value_table.create ~obj_cols:[ x ] rows
+      Simlist.Value_table.create ~obj_cols:(Option.to_list obj)
+        (List.map row rows)
 
 (* [[var <- q] body] from the body's table and [q]'s value table, noting
    on the enclosing span how many value rows there were and how many the
@@ -297,9 +229,12 @@ and eval_raw (ctx : Context.t) f =
     | Next g -> map_lists (Sim_list.next_shift ~extents:(Context.extents ctx)) (eval ctx g)
     | Eventually g ->
         map_lists (Sim_list.eventually ~extents:(Context.extents ctx)) (eval ctx g)
-    | Exists (x, g) -> Sim_table.project_obj_var (eval ctx g) x
+    | Exists (x, g) ->
+        Sim_table.project_obj_var (eval (Context.shadow_obj_var ctx x) g) x
     | Freeze { var; attr; obj; body } ->
-        freeze ctx (eval ctx body) ~var (value_table ctx ~attr ~obj)
+        (* the body's atoms build only the region rows this freeze keeps *)
+        let vt = value_table ctx ~attr ~obj in
+        freeze ctx (eval (Context.with_domain ctx ~var { attr; obj }) body) ~var vt
     | At_level (sel, g) ->
         let target = resolve_level ctx sel in
         if target <= ctx.level then

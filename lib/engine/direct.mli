@@ -21,7 +21,9 @@ val eval_closed : Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
 val value_table :
   Context.t -> attr:string -> obj:string option -> Simlist.Value_table.t
 (** The §3.3 value table of an attribute function over the context's
-    level (exposed for tests). *)
+    level, with [obj] as its object column: read once per finalized
+    index ({!Picture.Index.frozen_values}) and renamed per call.
+    Shared with the SQL backend. *)
 
 val freeze :
   Context.t ->

@@ -33,23 +33,32 @@ let node ?(attrs = []) ?(timing = Untimed) label children =
    the first occurrence and shows as [Cached] on the second — mirroring
    what the cache actually did. *)
 
-let span_lookup spans =
+type lookup = Htl.Ast.t -> (Obs.Trace.span * (string * string) list) option
+
+let span_lookup spans : lookup =
   let tbl : (string, Obs.Trace.span list ref) Hashtbl.t = Hashtbl.create 32 in
+  (* what a freeze's domain pruned is recorded on the picture.eval span
+     an atom's span encloses; the atom's node shows it *)
+  let lifted = Hashtbl.create 8 in
   List.iter
     (fun (s : Obs.Trace.span) ->
-      match Obs.Trace.attr s "formula" with
+      (match Obs.Trace.attr s "formula" with
       | Some id -> (
           match Hashtbl.find_opt tbl id with
           | Some r -> r := !r @ [ s ]
           | None -> Hashtbl.add tbl id (ref [ s ]))
-      | None -> ())
+      | None -> ());
+      if s.name = "picture.eval" then
+        Option.iter
+          (fun d -> Hashtbl.replace lifted s.parent [ ("regions_dropped", d) ])
+          (Obs.Trace.attr s "regions_dropped"))
     spans;
   fun f ->
     let id = string_of_int (Htl.Hcons.intern_id f) in
     match Hashtbl.find_opt tbl id with
     | Some ({ contents = s :: rest } as r) ->
         r := rest;
-        Some s
+        Some (s, Option.value ~default:[] (Hashtbl.find_opt lifted s.id))
     | _ -> None
 
 (* Timing + recorded attributes for a node.  [take = None] is the static
@@ -61,7 +70,7 @@ let observed take f =
   | Some take -> (
       match take f with
       | None -> (Cached, [])
-      | Some span ->
+      | Some (span, lifted) ->
           let timing =
             match Obs.Trace.duration_s span with
             | Some d -> Timed d
@@ -70,7 +79,7 @@ let observed take f =
           let attrs =
             List.filter (fun (k, _) -> k <> "formula") (List.rev span.attrs)
           in
-          (timing, attrs))
+          (timing, attrs @ lifted))
 
 (* How the atomic evaluator will source a non-temporal leaf: a
    precomputed named table, an index-pruned candidate scan, or a full

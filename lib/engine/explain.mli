@@ -51,27 +51,34 @@ type report = {
 
 (** {1 Tree builders} *)
 
+type lookup = Htl.Ast.t -> (Obs.Trace.span * (string * string) list) option
+(** A subformula's recorded span, if it has one left, with the
+    attributes its node lifts from the spans it encloses — see
+    {!span_lookup}. *)
+
 val direct_tree :
-  Context.t -> ?take:(Htl.Ast.t -> Obs.Trace.span option) -> Htl.Ast.t -> node
+  Context.t -> ?take:lookup -> Htl.Ast.t -> node
 (** Mirror of {!Direct.eval}'s dispatch: an [And] chain is one node
     whose children are its conjuncts in {!Direct.join_order}.  [take],
     when given, yields each subformula's recorded span — use
     {!span_lookup}. *)
 
 val type1_tree :
-  Context.t -> ?take:(Htl.Ast.t -> Obs.Trace.span option) -> Htl.Ast.t -> node
+  Context.t -> ?take:lookup -> Htl.Ast.t -> node
 (** Mirror of {!Type1.eval}'s dispatch. *)
 
 val sql_tree :
-  Context.t -> ?take:(Htl.Ast.t -> Obs.Trace.span option) -> Htl.Ast.t -> node
+  Context.t -> ?take:lookup -> Htl.Ast.t -> node
 (** Mirror of the SQL translation's dispatch. *)
 
-val span_lookup : Obs.Trace.span list -> Htl.Ast.t -> Obs.Trace.span option
+val span_lookup : Obs.Trace.span list -> lookup
 (** [span_lookup spans] consumes spans by their ["formula"] attribute
     (the hash-consed subformula id) in recorded order: each call with a
     formula pops its next unconsumed span, so a subformula occurring
     twice in a tree gets its computed span once and reads as cached the
-    second time. *)
+    second time.  With the span come the attributes its node shows from
+    the spans it encloses: an atom's [regions_dropped], from its
+    ["picture.eval"] span. *)
 
 val script_nodes : string list -> node list
 (** Parse executed SQL statements ({!Sql_backend.last_script}) and

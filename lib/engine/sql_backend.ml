@@ -317,9 +317,14 @@ and eval_conjunctive_raw t (ctx : Context.t) f =
     | Next g -> map_rows (fun l -> sql_map_list t `Next l) (eval_conjunctive t ctx g)
     | Eventually g ->
         map_rows (fun l -> sql_map_list t `Eventually l) (eval_conjunctive t ctx g)
-    | Exists (x, g) -> Sim_table.project_obj_var (eval_conjunctive t ctx g) x
+    | Exists (x, g) ->
+        Sim_table.project_obj_var
+          (eval_conjunctive t (Context.shadow_obj_var ctx x) g)
+          x
     | Freeze { var; attr; obj; body } -> (
-        let table = eval_conjunctive t ctx body in
+        let table =
+          eval_conjunctive t (Context.with_domain ctx ~var { attr; obj }) body
+        in
         match Direct.value_table ctx ~attr ~obj with
         | vt -> Direct.freeze ctx table ~var vt
         | exception Direct.Unsupported msg -> unsupported "%s" msg)

@@ -21,6 +21,16 @@ let key_of_value = function
   | Value.Str s -> Some (Kstr s)
   | Value.Bool b -> Some (Kbool b)
 
+(* The memoised frozen-attribute values: one row per (object, value),
+   [None] for a segment attribute, with the spans where it holds. *)
+type value_row = {
+  oid : int option;
+  value : Simlist.Range.value;
+  spans : Simlist.Interval.t list;
+}
+
+type frozen_values = (value_row list, [ `Float of int | `Bool ]) result
+
 type t = {
   level : int;
   segment_count : int;
@@ -36,6 +46,10 @@ type t = {
   obj_points : (string * int, points) Hashtbl.t;
   objects : int list;
   types : string list;
+  frozen : (string * bool, frozen_values) Hashtbl.t;
+      (* value tables by (attribute, of an object?), filled on demand and
+         guarded by [frozen_lock]; not part of the dump *)
+  frozen_lock : Mutex.t;
 }
 
 (* Build-time accumulators: postings as reversed lists with head dedup
@@ -163,6 +177,8 @@ let build_over store ~level ~lo ~hi =
     obj_points = finalize_points obj_points;
     objects;
     types;
+    frozen = Hashtbl.create 4;
+    frozen_lock = Mutex.create ();
   }
 
 let build ?metrics store ~level =
@@ -237,6 +253,8 @@ let merge base delta =
     obj_points = merge_points base.obj_points delta.obj_points;
     objects = List.sort_uniq compare (base.objects @ delta.objects);
     types = List.sort_uniq compare (base.types @ delta.types);
+    frozen = Hashtbl.create 4;
+    frozen_lock = Mutex.create ();
   }
 
 let postings tbl key =
@@ -270,6 +288,76 @@ let objects_at_level t = t.objects
 let types_at_level t = t.types
 let level t = t.level
 let segment_count t = t.segment_count
+
+(* --- frozen-attribute values ----------------------------------------------
+
+   A freeze quantifier's value table (§3.3) over the level: a segment
+   attribute is read at every segment, an object attribute at the
+   segments holding each object, and the segments holding one value are
+   grouped into maximal spans.  Each table is built on first demand and
+   kept with the index; two racing first demands may both build it, and
+   both results are equal. *)
+
+exception Not_frozen of [ `Float of int | `Bool ]
+
+(* the rows of one binding, [ids] ascending; the scan runs from the
+   last id down, so a bad value is reported at the highest id holding
+   one *)
+let frozen_rows store ~level ~attr ~oid ids =
+  let values = ref [] in
+  for k = Array.length ids - 1 downto 0 do
+    let id = ids.(k) in
+    let meta = Video_model.Store.meta store ~level ~id in
+    match
+      match oid with
+      | Some o -> Metadata.Seg_meta.object_attr meta o attr
+      | None -> Metadata.Seg_meta.attr meta attr
+    with
+    | None -> ()
+    | Some (Value.Int k) -> values := (id, Simlist.Range.Vint k) :: !values
+    | Some (Value.Str s) -> values := (id, Simlist.Range.Vstr s) :: !values
+    | Some (Value.Float _) -> raise (Not_frozen (`Float id))
+    | Some (Value.Bool _) -> raise (Not_frozen `Bool)
+  done;
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (id, v) ->
+      let spans = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
+      let spans =
+        match spans with
+        | last :: rest when Simlist.Interval.hi last + 1 = id ->
+            Simlist.Interval.make (Simlist.Interval.lo last) id :: rest
+        | _ -> Simlist.Interval.point id :: spans
+      in
+      Hashtbl.replace tbl v spans)
+    !values;
+  Hashtbl.fold
+    (fun value spans acc -> { oid; value; spans = List.rev spans } :: acc)
+    tbl []
+
+let frozen_values t store ~attr ~objects =
+  let key = (attr, objects) in
+  match Mutex.protect t.frozen_lock (fun () -> Hashtbl.find_opt t.frozen key) with
+  | Some values -> values
+  | None ->
+      let level = t.level in
+      let values =
+        match
+          if objects then
+            List.concat_map
+              (fun oid ->
+                frozen_rows store ~level ~attr ~oid:(Some oid)
+                  (segments_of_object t oid))
+              t.objects
+          else
+            frozen_rows store ~level ~attr ~oid:None
+              (Array.init t.segment_count (fun i -> i + 1))
+        with
+        | rows -> Ok rows
+        | exception Not_frozen bad -> Error bad
+      in
+      Mutex.protect t.frozen_lock (fun () -> Hashtbl.replace t.frozen key values);
+      values
 
 (* --- serialization-friendly view ----------------------------------------
 
@@ -340,6 +428,8 @@ let undump d =
     obj_points = table_of d.d_obj_points;
     objects = d.d_objects;
     types = d.d_types;
+    frozen = Hashtbl.create 4;
+    frozen_lock = Mutex.create ();
   }
 
 module Registry = struct

@@ -86,6 +86,33 @@ val types_at_level : t -> string list
 val level : t -> int
 val segment_count : t -> int
 
+(** {1 Frozen-attribute values}
+
+    The value table of a freeze quantifier (§3.3) over the level, kept
+    with the index per (attribute, object-or-segment).  It is built on
+    first demand from {!segments_of_object} and the store's meta-data,
+    and is not part of {!dump}: a restored index starts without it.
+    The {!Registry} replaces an index on any edit or append at its
+    level, so a table never outlives the data it was read from. *)
+
+type value_row = {
+  oid : int option;  (** the object; [None] for a segment attribute *)
+  value : Simlist.Range.value;
+  spans : Simlist.Interval.t list;
+      (** ascending, disjoint maximal runs of segments holding [value] *)
+}
+
+type frozen_values = (value_row list, [ `Float of int | `Bool ]) result
+(** The rows, per object in {!objects_at_level} order, or the first value
+    that cannot be frozen: a float (with the highest segment id of the
+    first object holding one) or a boolean. *)
+
+val frozen_values :
+  t -> Video_model.Store.t -> attr:string -> objects:bool -> frozen_values
+(** The attribute's values on every object of the level ([objects]) or
+    on the segments themselves, read from [store] — the store the index
+    was built over — on the first call only. *)
+
 (** {1 Serialization view}
 
     Snapshots (Storage.Snapshot) persist finalized indexes.  A {!dump}

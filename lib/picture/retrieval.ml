@@ -585,22 +585,70 @@ let bindings config idx f =
        (fun x -> List.map (fun o -> (x, o)) (None :: List.map Option.some support))
        obj_vars)
 
+(* --- freeze domains ------------------------------------------------------ *)
+
+type domain = { attr : string; obj : string option }
+
+(* The values the enclosing freeze of [y] can give it under [combo]:
+   those of its attribute on the object [combo] binds its object
+   variable to, or of the segment attribute.  [None] (no filter) when no
+   freeze encloses [y], or when [combo] wildcards or does not bind the
+   freeze's object variable. *)
+let domain_points idx ~combo domains y =
+  match List.assoc_opt y domains with
+  | Some { attr; obj = None } -> Some (Index.seg_attr_points idx attr)
+  | Some { attr; obj = Some x } -> (
+      match List.assoc_opt x combo with
+      | Some (Some oid) -> Some (Index.obj_attr_points idx attr ~oid)
+      | Some None | None -> None)
+  | None -> None
+
+(* The regions holding one of [points].  Integer regions ascend and are
+   disjoint, so one walk drops the points below each region in turn. *)
+let holding (points : Index.points) regions =
+  let rec go ints = function
+    | [] -> []
+    | ((range, _) as region) :: rest -> (
+        match (range, ints) with
+        | Range.Ints { lo = Some lo; _ }, p :: tl when p < lo ->
+            go tl (region :: rest)
+        | Range.Ints _, p :: _ when Range.mem (Range.Vint p) range ->
+            region :: go ints rest
+        | Range.Str _, _
+          when List.exists (fun s -> Range.mem (Range.Vstr s) range) points.strs
+          ->
+            region :: go ints rest
+        | (Range.Ints _ | Range.Str _), _ -> go ints rest)
+  in
+  go points.ints regions
+
 (* The table of [f] over [combos]: under each binding, one row per region
-   tuple of the free attribute variables.  [rows ~combo ~bound ~reps]
-   builds all of a binding's rows at once, from the regions'
-   representative values (one tuple per row, in region order); a row is
-   [None] when the wildcard row subsumes it. *)
-let build_table config idx f ~combos rows =
+   tuple of the free attribute variables, built only for the regions
+   that hold a value of their variable's domain.  [dropped] counts the
+   region tuples the domains removed.  [rows ~combo ~bound ~reps] builds
+   all of a binding's rows at once, from the regions' representative
+   values (one tuple per row, in region order); a row is [None] when the
+   wildcard row subsumes it. *)
+let build_table config idx f ~domains ~dropped ~combos rows =
   let attr_vars = free_attr_vars f in
   let out = ref [] and row_count = ref 0 in
+  let tuples per_var = List.fold_left (fun n l -> n * List.length l) 1 per_var in
   List.iter
     (fun combo ->
       let bound =
         List.filter_map (fun (x, o) -> Option.map (fun o -> (x, o)) o) combo
       in
-      let region_combos =
-        cartesian (List.map (fun y -> regions idx ~env_objs:combo f y) attr_vars)
+      let all = List.map (fun y -> regions idx ~env_objs:combo f y) attr_vars in
+      let kept =
+        List.map2
+          (fun y regions ->
+            match domain_points idx ~combo domains y with
+            | Some points -> holding points regions
+            | None -> regions)
+          attr_vars all
       in
+      dropped := !dropped + tuples all - tuples kept;
+      let region_combos = cartesian kept in
       row_count := !row_count + List.length region_combos;
       if !row_count > config.max_rows then
         unsupported "similarity table exceeds %d rows" config.max_rows;
@@ -642,8 +690,8 @@ let rec position ids id lo hi =
     else if ids.(mid) > id then position ids id lo mid
     else mid
 
-let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
-    ~level f =
+let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index
+    ?(domains = []) store ~level f =
   validate f;
   let max_total = Weights.total config.weights f in
   let obj_vars = free_obj_vars f in
@@ -655,7 +703,7 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
   (* segments scanned, per level: one count per scorer call (full scans,
      pruned scans and candidate rescans alike) *)
   let scanned_key = Printf.sprintf "picture.segments_scanned.l%d" level in
-  let scored = Atomic.make 0 and region_count = ref 0 in
+  let scored = Atomic.make 0 and region_count = ref 0 and dropped = ref 0 in
   let scanned k =
     ignore (Atomic.fetch_and_add scored k);
     match metrics with
@@ -865,9 +913,11 @@ let eval ?(config = default_config) ?pool ?tracer ?metrics ?stats ?index store
               (string_of_int (Sim_table.row_count table));
             Obs.Trace.add_attr tr "regions" (string_of_int !region_count);
             Obs.Trace.add_attr tr "scored" (string_of_int (Atomic.get scored));
+            if List.exists (fun y -> List.mem_assoc y domains) attr_vars then
+              Obs.Trace.add_attr tr "regions_dropped" (string_of_int !dropped);
             table)
   in
-  span_of @@ fun () -> build_table config idx f ~combos rows
+  span_of @@ fun () -> build_table config idx f ~domains ~dropped ~combos rows
 
 let score_at ?(config = default_config) ?(attrs = []) store ~level ~id ~env f =
   validate f;
@@ -891,7 +941,8 @@ let scorer ?(config = default_config) ?(attrs = []) ?index store ~level ~env f
   in
   fun ~id -> c.run nodes.(id - 1).Store.meta slots
 
-let eval_dense ?(config = default_config) ?index store ~level f =
+let eval_dense ?(config = default_config) ?index ?(domains = []) store ~level f
+    =
   validate f;
   let idx = index_for ?index store ~level in
   let n = Index.segment_count idx in
@@ -901,8 +952,8 @@ let eval_dense ?(config = default_config) ?index store ~level f =
     Array.init n (fun i -> score_at ~config ~attrs store ~level ~id:(i + 1) ~env f)
   in
   let max = Weights.total config.weights f in
-  build_table config idx f ~combos:(bindings config idx f)
-    (fun ~combo:_ ~bound ~reps ->
+  build_table config idx f ~domains ~dropped:(ref 0)
+    ~combos:(bindings config idx f) (fun ~combo:_ ~bound ~reps ->
       List.map
         (fun reps ->
           let row = dense ~env:bound ~reps in

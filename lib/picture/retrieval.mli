@@ -34,6 +34,12 @@ type config = {
 
 val default_config : config
 
+type domain = { attr : string; obj : string option }
+(** The freeze enclosing a free attribute variable [y]: [[y <- attr(obj)]],
+    or [[y <- attr]] for a segment attribute when [obj] is [None].  That
+    freeze keeps only the rows whose range for [y] holds a value the
+    attribute takes, so only those rows need to be built. *)
+
 val eval :
   ?config:config ->
   ?pool:Parallel.Pool.t ->
@@ -41,6 +47,7 @@ val eval :
   ?metrics:Obs.Metrics.t ->
   ?stats:Obs.Stats.t ->
   ?index:Index.t ->
+  ?domains:(string * domain) list ->
   Video_model.Store.t ->
   level:int ->
   Htl.Ast.t ->
@@ -57,7 +64,8 @@ val eval :
     With [tracer], the scan records a ["picture.eval"] span (level,
     segment, combination and pruning counts, and on closing the [rows]
     emitted, the elementary [regions] they were built for and the
-    scorer calls, [scored]); with [metrics], every scorer call counts
+    scorer calls, [scored], plus [regions_dropped] when [domains] is
+    given); with [metrics], every scorer call counts
     toward the [picture.segments_scanned.l<level>] counter — base scans
     and bound-candidate scans alike — and every pruned base fill (one
     per batch of new region tuples) records
@@ -65,6 +73,15 @@ val eval :
     With [stats], every evaluation folds the atom's observed pruning
     selectivity (candidates ÷ level segments; 1 for a full scan) into
     {!Obs.Stats.record_atom}.
+
+    With [domains], the region rows of a free attribute variable that
+    has one are built only where they hold a value of its domain: under
+    a binding of the domain's object variable to an object, the values
+    {!Index.obj_attr_points} lists for it; for a segment attribute, the
+    values {!Index.seg_attr_points} lists.  A binding that wildcards the
+    object variable, or a formula that does not bind it, keeps every
+    region.  The [regions_dropped] span attribute counts the region
+    tuples left out.
 
     Scoring goes through the formula compiled once per evaluation (see
     {!scorer}).  A bound row is scored only at the segments where one of
@@ -115,6 +132,7 @@ val scorer :
 val eval_dense :
   ?config:config ->
   ?index:Index.t ->
+  ?domains:(string * domain) list ->
   Video_model.Store.t ->
   level:int ->
   Htl.Ast.t ->
@@ -122,7 +140,8 @@ val eval_dense :
 (** The oracle for {!eval}: the same rows, each built densely from
     {!score_at} at every segment of the level and
     {!Simlist.Sim_list.of_dense}, a bound row dropped when it equals the
-    wildcard row everywhere.  O(rows × segments); for tests and the
+    wildcard row everywhere, and the region rows filtered by [domains]
+    as in {!eval}.  O(rows × segments); for tests and the
     index bench's check. *)
 
 val max_similarity : ?config:config -> Htl.Ast.t -> float

@@ -8,6 +8,11 @@
 # fail.  A mutant that a named suite passes has survived, and the run
 # exits 1.
 #
+# A suite regex that matches no test also makes the runner exit 1, so
+# it would count as a catch.  Each named suite is therefore first run on
+# the unpatched tree, where it must pass and run at least one test;
+# otherwise the run exits 2 before any patch is tried.
+#
 #   bash test/mutants/run.sh                    # every patch
 #   bash test/mutants/run.sh some.patch ...     # the given ones
 #
@@ -30,14 +35,36 @@ else
   patches=("$here"/*.patch)
 fi
 
+for patch in "${patches[@]}"; do
+  if ! grep -q '^Suite: ' "$patch"; then
+    echo "$(basename "$patch" .patch): names no suite" >&2
+    exit 2
+  fi
+done
+
+base="$work/base"
+mkdir "$base"
+git -C "$root" archive HEAD | tar -x -C "$base"
+dune build --root "$base" --display quiet ./test/test_main.exe
+for suite in $(sed -n 's/^Suite: //p' "${patches[@]}" | sort -u); do
+  log="$work/base.log"
+  if ! "$base/_build/default/test/test_main.exe" test "$suite" >"$log" 2>&1; then
+    echo "$suite: fails on the unpatched tree" >&2
+    tail -n 5 "$log" >&2
+    exit 2
+  fi
+  ran=$(sed -n 's/.* \([0-9][0-9]*\) tests* run\..*/\1/p' "$log" | tail -n 1)
+  if [ "${ran:-0}" -lt 1 ]; then
+    echo "$suite: runs no test on the unpatched tree" >&2
+    exit 2
+  fi
+done
+rm -rf "$base"
+
 survivors=0
 for patch in "${patches[@]}"; do
   name=$(basename "$patch" .patch)
   suites=$(sed -n 's/^Suite: //p' "$patch")
-  if [ -z "$suites" ]; then
-    echo "$name: names no suite" >&2
-    exit 2
-  fi
   copy="$work/$name"
   mkdir "$copy"
   git -C "$root" archive HEAD | tar -x -C "$copy"

@@ -238,7 +238,7 @@ let eviction_tests =
     test_case "LRU evicts the least recently used key" `Quick (fun () ->
         let c = Cache.create ~capacity:2 () in
         let extents = Simlist.Extent.single 4 in
-        let key i = Cache.key ~formula:i ~level:1 ~extents in
+        let key i = Cache.key ~formula:i ~level:1 ~extents ~domains:[] in
         let table v =
           Sim_table.of_sim_list
             (Sim_list.of_entries ~max:1.
@@ -266,7 +266,7 @@ let eviction_tests =
           Sim_table.of_sim_list
             (Sim_list.of_entries ~max:1. [ (Simlist.Interval.make 1 2, 1.) ])
         in
-        let k = Cache.key ~formula:7 ~level:1 ~extents in
+        let k = Cache.key ~formula:7 ~level:1 ~extents ~domains:[] in
         Cache.add c k ~version:0 t;
         (* same version: a plain hit, the predicate is not consulted *)
         (match
@@ -306,7 +306,8 @@ let eviction_tests =
         match
           Cache.find c
             (Cache.key ~formula:7 ~level:1
-               ~extents:(Simlist.Extent.of_lengths [ 2; 2 ]))
+               ~extents:(Simlist.Extent.of_lengths [ 2; 2 ])
+               ~domains:[])
             ~version:4
             ~valid:(fun ~stamp:_ -> true)
         with

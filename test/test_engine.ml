@@ -377,9 +377,9 @@ let topk_tests =
 
 (* --- property tests against the naive oracle -------------------------------- *)
 
-let check_against_oracle ctx f =
+let check_against_oracle ?(eval = Query.run ?backend:None) ctx f =
   let oracle = Reference.similarity_over_level ctx f in
-  let engine = Query.run ctx f in
+  let engine = eval ctx f in
   let n = Array.length oracle in
   let dense = Sim_list.to_dense ~n engine in
   let ok = ref true in
@@ -595,6 +595,133 @@ let oracle_tests =
       (arb_seed "exact-implies-full");
   ]
 
+(* --- freeze domains ------------------------------------------------------- *)
+
+(* A freeze's domain reaches the atoms below it: they build only the
+   region rows it can keep, the cache key carries it, and a level
+   operator leaves it behind.  The value tables behind it live in the
+   level's index. *)
+let domain_tests =
+  let open Alcotest in
+  let movie_store seed =
+    Workload.Movies.random_store (Workload.Rng.make seed) ~videos:3 ~levels:2
+      ~branching:6 ~object_pool:6 ()
+  in
+  let outcome ctx f =
+    match Query.run ctx f with
+    | list -> Ok (Sim_list.entries list)
+    | exception Query.Error msg -> Error msg
+  in
+  [
+    test_case "one atom under two freezes is two cache entries" `Quick
+      (fun () ->
+        (* the same eventually (v < speed(x)) under a freeze of speed(x)
+           and of id(x): each builds the region rows of its own
+           freeze's values, so a key without the domain would serve the
+           second query the first one's rows *)
+        let store = movie_store 11 in
+        let shared = Context.of_store store in
+        List.iter
+          (fun q ->
+            let f = parse q in
+            let cacheless = Context.without_cache (Context.of_store store) in
+            check sim_list q (Query.run cacheless f) (Query.run shared f))
+          [
+            "exists x . [v <- speed(x)] eventually (v < speed(x))";
+            "exists x . [v <- id(x)] eventually (v < speed(x))";
+          ]);
+    test_case "a level operator leaves the freeze's domain behind" `Quick
+      (fun () ->
+        (* the train's speed is 5 or 25 on the scenes and 10, 20 or 30
+           on their shots: the scene's value lies in no region of the
+           shots' values, and the answer still depends on it *)
+        let scene speed shots =
+          Video_model.Segment.make
+            ~meta:(Fixtures.shot ~objects:[ Fixtures.train ~speed () ] ())
+            (List.map
+               (fun speed ->
+                 Video_model.Segment.leaf
+                   (Fixtures.shot ~objects:[ Fixtures.train ~speed () ] ()))
+               shots)
+        in
+        let store =
+          Video_model.Store.of_video
+            (Video_model.Video.create ~title:"levels"
+               ~level_names:[ "video"; "scene"; "shot" ]
+               (Video_model.Segment.make ~meta:(Fixtures.shot ())
+                  [ scene 5 [ 10; 20 ]; scene 25 [ 10; 30 ]; scene 5 [ 30 ] ]))
+        in
+        let ctx = Context.of_store ~level:2 store in
+        let f = parse "exists x . [v <- speed(x)] at level 3 (v < speed(x))" in
+        check bool "direct = reference" true (check_against_oracle ctx f);
+        check bool "scored somewhere" true
+          (Sim_list.entries (Query.run ctx f) <> []));
+    test_case "an inner exists hides the freeze's object" `Quick (fun () ->
+        (* the atom's x is the inner one: the outer x's speeds say
+           nothing about which of its regions the freeze keeps.  Query
+           rejects an exists over a temporal operator, the evaluators
+           do not. *)
+        let ctx = Context.of_store (movie_store 3) in
+        let f =
+          parse
+            "exists x . [v <- speed(x)] (present(x) and exists x . \
+             eventually (v < speed(x)))"
+        in
+        check bool "direct = reference" true
+          (check_against_oracle ~eval:Direct.eval_closed ctx f);
+        check bool "sql = reference" true
+          (check_against_oracle
+             ~eval:(fun ctx f ->
+               Sql_backend.run_conjunctive (Sql_backend.create ctx) ctx f)
+             ctx f));
+    test_case "a warm context's value tables follow an append" `Quick
+      (fun () ->
+        let store = movie_store 5 in
+        let warm = Context.of_store store in
+        let queries =
+          List.map parse
+            [
+              "exists x . [v <- speed(x)] (speed(x) >= v until v >= speed(x))";
+              "[m <- seg.mood] eventually (seg.mood = m)";
+            ]
+        in
+        List.iter (fun f -> ignore (Query.run warm f)) queries;
+        let rng = Workload.Rng.make 99 in
+        Video_model.Store.append_segments store
+          (List.init 8 (fun _ -> Workload.Movies.random_meta rng ~object_pool:6));
+        List.iter
+          (fun f ->
+            check sim_list (Htl.Pretty.to_string f)
+              (Query.run (Context.of_store store) f)
+              (Query.run warm f))
+          queries);
+    test_case "a float frozen attribute raises the same message every call"
+      `Quick (fun () ->
+        let store =
+          Video_model.Store.of_video
+            (Video_model.Video.two_level ~title:"floats"
+               [
+                 Fixtures.shot ~objects:[ Fixtures.train ~speed:40 () ] ();
+                 Fixtures.shot
+                   ~objects:
+                     [
+                       Fixtures.obj ~id:4 ~otype:"train"
+                         ~attrs:[ ("speed", Metadata.Value.Float 42.5) ]
+                         ();
+                     ]
+                   ();
+               ])
+        in
+        let ctx = Context.of_store store in
+        let f = parse "exists x . [v <- speed(x)] eventually (v < speed(x))" in
+        let first = outcome ctx f in
+        check bool "raised" true (Result.is_error first);
+        check (result (list (pair (testable Interval.pp Interval.equal) (float 0.))) string)
+          "second call" first (outcome ctx f);
+        check bool "a fresh context agrees" true
+          (first = outcome (Context.of_store store) f));
+  ]
+
 let suites =
   [
     ("engine.casablanca", casablanca_tests);
@@ -603,4 +730,5 @@ let suites =
     ("engine.sql", sql_tests);
     ("engine.topk", topk_tests);
     ("engine.oracle", oracle_tests);
+    ("engine.domains", domain_tests);
   ]

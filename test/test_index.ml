@@ -301,6 +301,23 @@ let delta_tests =
         let p = Index.seg_attr_points merged "mood" in
         check (list string) "points stay distinct" [ "calm"; "tense" ]
           p.Index.strs);
+    test_case "value tables are read once per index" `Quick (fun () ->
+        let s = fixture () in
+        let r = Index.Registry.create () in
+        let idx = Index.Registry.get r s ~level:2 in
+        let speeds () = Index.frozen_values idx s ~attr:"speed" ~objects:true in
+        let first = speeds () in
+        check bool "second call is the memo" true (speeds () == first);
+        check bool "a segment attribute is its own entry" false
+          (Index.frozen_values idx s ~attr:"speed" ~objects:false == first);
+        Store.append_segments s (appended_shots ());
+        let merged = Index.Registry.get r s ~level:2 in
+        let fresh = Index.build s ~level:2 in
+        check bool "the merged index reads the appended shots" true
+          (Index.frozen_values merged s ~attr:"speed" ~objects:true
+          = Index.frozen_values fresh s ~attr:"speed" ~objects:true);
+        check bool "the appended shots add a speed" false
+          (Index.frozen_values fresh s ~attr:"speed" ~objects:true = first));
     test_case "build_delta rejects an out-of-range lo" `Quick (fun () ->
         let s = fixture () in
         (try

@@ -382,6 +382,26 @@ let explain_tests =
             check int "three conjuncts" 3 (List.length n.Explain.children);
             check bool "join_order recorded" true
               (List.mem_assoc "join_order" n.Explain.attrs));
+    test_case "analyzed explain shows what a freeze's domain dropped" `Quick
+      (fun () ->
+        let store =
+          Workload.Movies.random_store (Workload.Rng.make 123) ~videos:2
+            ~branching:6 ~object_pool:8 ()
+        in
+        let ctx = Context.without_cache (Context.of_store store) in
+        let r =
+          Query.explain ~analyze:true ctx
+            (parse "exists x . [v <- speed(x)] (speed(x) >= v until v >= speed(x))")
+        in
+        let dropped (n : Explain.node) =
+          Option.map int_of_string (List.assoc_opt "regions_dropped" n.Explain.attrs)
+        in
+        match find_node (fun n -> dropped n <> None) r.Explain.tree with
+        | None -> fail "no node reports regions_dropped"
+        | Some n ->
+            check string "on an atom" "direct.atom" n.Explain.label;
+            check bool "regions_dropped > 0" true
+              (Option.get (dropped n) > 0));
     test_case "explain rejects what run rejects" `Quick (fun () ->
         let ctx = C.context () in
         let general = Htl.Ast.Not (parse "man_woman") in

@@ -400,6 +400,36 @@ let case_attrs c =
       | `Bound _ | `Unbound -> None)
     [ ("v", v); ("w", w) ]
 
+(* an enclosing freeze for each of v and w, or none; a drawn domain
+   counts only for a free variable *)
+let arb_domains =
+  let open QCheck in
+  let freeze =
+    Gen.opt
+      (Gen.oneofl
+         [
+           ("speed", Some "x"); ("speed", Some "z"); ("id", Some "y");
+           ("name", Some "y"); ("mood", None);
+         ])
+  in
+  let print = function
+    | Some (attr, Some x) -> Printf.sprintf "%s(%s)" attr x
+    | Some (attr, None) -> "seg." ^ attr
+    | None -> "-"
+  in
+  make
+    ~print:(fun (v, w) -> Printf.sprintf "v <- %s, w <- %s" (print v) (print w))
+    (Gen.pair freeze freeze)
+
+let case_domains c (v, w) =
+  List.filter_map
+    (fun (y, d) ->
+      match d with
+      | Some (attr, obj) when List.mem y (Ast.free_attr_vars c.f) ->
+          Some (y, { Retrieval.attr; obj })
+      | Some _ | None -> None)
+    [ ("v", v); ("w", w) ]
+
 (* a score or the Unsupported message, compared bit for bit *)
 let outcome f =
   match f () with
@@ -476,11 +506,13 @@ let staged_tests =
           (bindings (Ast.free_obj_vars c.f)))
       arb_scorer_case;
     Helpers.qtest ~count:200 "eval equals the dense score_at oracle"
-      (fun c ->
+      (fun (c, drawn) ->
         let store = case_store c in
-        table_outcome (fun () -> Retrieval.eval store ~level:c.level c.f)
-        = table_outcome (fun () -> Retrieval.eval_dense store ~level:c.level c.f))
-      arb_scorer_case;
+        let domains = case_domains c drawn in
+        table_outcome (fun () -> Retrieval.eval ~domains store ~level:c.level c.f)
+        = table_outcome (fun () ->
+              Retrieval.eval_dense ~domains store ~level:c.level c.f))
+      (QCheck.pair arb_scorer_case arb_domains);
     test_case "types missing from the index fall back to the taxonomy" `Quick
       (fun () ->
         let store = Fixtures.western_store () in
@@ -640,6 +672,49 @@ let count_tests =
             check bool "more regions than bindings" true
               (int_attr s "regions" > int_attr s "combos")
         | spans -> failf "expected one picture.eval span, got %d" (List.length spans));
+    test_case "an atom under a freeze builds only the rows it can keep"
+      `Quick (fun () ->
+        (* v < speed(x) over every binding builds one row per region of
+           speed(x); under [v <- speed(x)] a bound row survives only on a
+           region holding one of its object's speeds *)
+        let store = Lazy.force store in
+        let tr = Obs.Trace.create () in
+        let ctx =
+          Engine.Context.with_tracer
+            (Engine.Context.without_cache (Engine.Context.of_store store))
+            tr
+        in
+        ignore
+          (Engine.Query.run ctx
+             (parse
+                "exists x . [v <- speed(x)] (speed(x) >= v until v >= \
+                 speed(x))"));
+        let free = Obs.Trace.create () in
+        let all =
+          Sim_table.row_count
+            (Retrieval.eval ~tracer:free store ~level (parse "v < speed(x)"))
+        in
+        let all_regions =
+          match spans_named free "picture.eval" with
+          | [ s ] ->
+              check (option string) "no domain, no count" None
+                (Obs.Trace.attr s "regions_dropped");
+              int_attr s "regions"
+          | _ -> fail "expected one picture.eval span"
+        in
+        match spans_named tr "picture.eval" with
+        | [ a; b ] ->
+            List.iter
+              (fun s ->
+                let rows = int_attr s "rows" in
+                check bool (Printf.sprintf "%d rows < %d" rows all) true
+                  (rows < all);
+                check bool "regions dropped" true
+                  (int_attr s "regions_dropped" > 0);
+                check int "regions kept + dropped" all_regions
+                  (int_attr s "regions" + int_attr s "regions_dropped"))
+              [ a; b ]
+        | spans -> failf "expected two picture.eval spans, got %d" (List.length spans));
     test_case "a freeze emits one row per binding" `Quick (fun () ->
         let store = Lazy.force store in
         let tr = Obs.Trace.create () in
