@@ -19,9 +19,15 @@ type stats = {
   evictions : int;
   entries : int;
   capacity : int;
+  words : int;
 }
 
-(* doubly-linked recency list; head = most recent, tail = next to evict.
+(* A circular doubly-linked recency list through a sentinel: [root.next]
+   is the most recent entry, [root.prev] the next to evict.  Relinking
+   writes only existing entries, so a hit allocates nothing in the
+   long-lived list (an option cell per link would be promoted and left
+   behind as major-heap garbage on every probe).
+
    The store version is NOT part of the key: each entry carries the
    version it was computed at as a [stamp], and a lookup at a newer
    version asks the caller's validity predicate whether the changes in
@@ -32,8 +38,9 @@ type entry = {
   ekey : key;
   mutable stamp : int;
   mutable value : Simlist.Sim_table.t;
-  mutable prev : entry option;
-  mutable next : entry option;
+  mutable words : int;  (* [Sim_table.words value], counted at [add] *)
+  mutable prev : entry;
+  mutable next : entry;
 }
 
 (* One mutex serializes every operation, counters included (the
@@ -45,8 +52,8 @@ type t = {
   cap : int;
   mutex : Mutex.t;
   table : (key, entry) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
+  root : entry;  (* the sentinel: no key of its own, never in [table] *)
+  mutable words : int;  (* sum of the live entries' words *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -56,12 +63,22 @@ type t = {
 
 let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
+  let rec root =
+    {
+      ekey = { formula = -1; level = -1; extents = []; domains = [] };
+      stamp = -1;
+      value = Simlist.Sim_table.of_sim_list (Simlist.Sim_list.empty ~max:0.);
+      words = 0;
+      prev = root;
+      next = root;
+    }
+  in
   {
     cap = capacity;
     mutex = Mutex.create ();
     table = Hashtbl.create (min capacity 64);
-    head = None;
-    tail = None;
+    root;
+    words = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -71,16 +88,22 @@ let create ?(capacity = 256) () =
 
 let capacity t = t.cap
 
-let unlink t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> t.tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+(* [e] leaves the cache: off the recency list, out of the table and the
+   word count *)
+let remove t e =
+  unlink e;
+  Hashtbl.remove t.table e.ekey;
+  t.words <- t.words - e.words
 
 let push_front t e =
-  e.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e
+  e.prev <- t.root;
+  e.next <- t.root.next;
+  t.root.next.prev <- e;
+  t.root.next <- e
 
 type outcome =
   | Hit of Simlist.Sim_table.t
@@ -93,7 +116,7 @@ let find t k ~version ~valid =
       match Hashtbl.find_opt t.table k with
       | Some e when e.stamp = version ->
           t.hits <- t.hits + 1;
-          unlink t e;
+          unlink e;
           push_front t e;
           Hit e.value
       | Some e ->
@@ -101,13 +124,12 @@ let find t k ~version ~valid =
             e.stamp <- version;
             t.hits <- t.hits + 1;
             t.survivals <- t.survivals + 1;
-            unlink t e;
+            unlink e;
             push_front t e;
             Survived e.value
           end
           else begin
-            unlink t e;
-            Hashtbl.remove t.table e.ekey;
+            remove t e;
             t.misses <- t.misses + 1;
             t.stale_drops <- t.stale_drops + 1;
             Stale
@@ -117,25 +139,33 @@ let find t k ~version ~valid =
           Absent)
 
 let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some e ->
-      unlink t e;
-      Hashtbl.remove t.table e.ekey;
-      t.evictions <- t.evictions + 1
+  let e = t.root.prev in
+  if e != t.root then begin
+    remove t e;
+    t.evictions <- t.evictions + 1
+  end
 
+(* The words are counted before taking the mutex: O(rows), and the
+   table is immutable. *)
 let add t k ~version v =
+  let words = Simlist.Sim_table.words v in
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table k with
       | Some e ->
+          t.words <- t.words - e.words + words;
           e.value <- v;
+          e.words <- words;
           e.stamp <- version;
-          unlink t e;
+          unlink e;
           push_front t e
       | None ->
           if Hashtbl.length t.table >= t.cap then evict_lru t;
-          let e = { ekey = k; stamp = version; value = v; prev = None; next = None } in
+          let e =
+            { ekey = k; stamp = version; value = v; words; prev = t.root;
+              next = t.root }
+          in
           Hashtbl.add t.table k e;
+          t.words <- t.words + words;
           push_front t e)
 
 let stats t =
@@ -146,6 +176,7 @@ let stats t =
         evictions = t.evictions;
         entries = Hashtbl.length t.table;
         capacity = t.cap;
+        words = t.words;
       })
 
 let survivals t = Mutex.protect t.mutex (fun () -> t.survivals)
@@ -162,8 +193,9 @@ let reset_stats t =
 let clear t =
   Mutex.protect t.mutex (fun () ->
       Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None;
+      t.root.next <- t.root;
+      t.root.prev <- t.root;
+      t.words <- 0;
       t.hits <- 0;
       t.misses <- 0;
       t.evictions <- 0;

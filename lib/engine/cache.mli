@@ -56,6 +56,10 @@ type stats = {
   evictions : int;
   entries : int;  (** current occupancy *)
   capacity : int;
+  words : int;
+      (** words the live entries keep resident: the sum of
+          {!Simlist.Sim_table.words} over them, counted at {!add} and
+          taken off on eviction, stale drop, replacement and {!clear} *)
 }
 
 type t

@@ -87,28 +87,21 @@ let at_level_extents (ctx : Context.t) ~target =
 (* lift a level-[target] similarity list back to the parent level: the
    parent's value is the list's value at its first descendant.  The
    spans tile the target level in parent order, so one walk of the
-   entries serves every parent. *)
+   entries by index serves every parent. *)
 let lift_to_parents spans list =
-  let rec go i spans entries acc =
-    match spans with
-    | [] -> List.rev acc
-    | span :: rest ->
-        let first = Interval.lo span in
-        let rec drop = function
-          | (iv, _) :: tl when Interval.hi iv < first -> drop tl
-          | l -> l
-        in
-        let entries = drop entries in
-        let acc =
-          match entries with
-          | (iv, v) :: _ when Interval.lo iv <= first ->
-              (Interval.point i, v) :: acc
-          | _ -> acc
-        in
-        go (i + 1) rest entries acc
-  in
-  Sim_list.of_entries ~max:(Sim_list.max_sim list)
-    (go 1 spans (Sim_list.entries list) [])
+  let n = Sim_list.length list in
+  let parents = Array.make (List.length spans) 0. in
+  let j = ref 0 in
+  List.iteri
+    (fun i span ->
+      let first = Interval.lo span in
+      while !j < n && Sim_list.hi list !j < first do
+        incr j
+      done;
+      if !j < n && Sim_list.lo list !j <= first then
+        parents.(i) <- Sim_list.value list !j)
+    spans;
+  Sim_list.of_dense ~max:(Sim_list.max_sim list) parents
 
 let resolve_level (ctx : Context.t) = function
   | Next_level -> ctx.level + 1

@@ -50,10 +50,12 @@ let float_lit v = Printf.sprintf "%.17g" v
 (* load an atomic unit's similarity list as an interval table *)
 let load_atom t name (list : Sim_list.t) =
   let rows =
-    List.map
-      (fun (iv, act) ->
-        [| V.Int (Interval.lo iv); V.Int (Interval.hi iv); V.Float act |])
-      (Sim_list.entries list)
+    List.init (Sim_list.length list) (fun i ->
+        [|
+          V.Int (Sim_list.lo list i);
+          V.Int (Sim_list.hi list i);
+          V.Float (Sim_list.value list i);
+        |])
   in
   Catalog.put t.db name (Table.create ~cols:[ "beg"; "fin"; "act" ] rows)
 

@@ -16,15 +16,17 @@ let ranked_intervals list =
    k best entries by (value desc, start asc) ranks below at least one id
    — the first — of each of those k entries: the k best ids lie inside
    the k best entries.  One pass keeps them in a size-k min-heap (root =
-   worst kept entry, held in three parallel arrays so a rejected entry
-   allocates nothing), then the kept entries are sorted and expanded to
-   ids lazily: ids of equal value come out ascending by walking disjoint
-   intervals in start order, the same (value desc, id asc) ranking as
-   materialising every id.  O(m log k + k) for m entries; a whole-movie
-   list with a million-frame interval costs k conses, not a million. *)
+   worst kept entry, held in parallel arrays of list, entry index and
+   shifted bounds, so a rejected entry allocates nothing), then the kept
+   entries are sorted and expanded to ids lazily: ids of equal value
+   come out ascending by walking disjoint intervals in start order, the
+   same (value desc, id asc) ranking as materialising every id.  The
+   scan reads each list's packed arrays by index, and [cap] is a sum of
+   O(1) lengths.  O(m log k + k) for m entries; a whole-movie list with
+   a million-frame interval costs k conses, not a million. *)
 let select ~name parts ~k =
   if k < 0 then invalid_arg (Printf.sprintf "Topk.%s: negative k (%d)" name k);
-  let max =
+  let first, max =
     match parts with
     | [] -> invalid_arg (Printf.sprintf "Topk.%s: no lists" name)
     | (l, _) :: rest ->
@@ -35,26 +37,32 @@ let select ~name parts ~k =
               invalid_arg
                 (Printf.sprintf "Topk.%s: lists disagree on max" name))
           rest;
-        m
+        (l, m)
   in
   let cap =
     min k (List.fold_left (fun n (l, _) -> n + Sim_list.length l) 0 parts)
   in
-  let vals = Array.make cap 0. and los = Array.make cap 0 in
-  let his = Array.make cap 0 in
+  (* slot [s] keeps entry [idx.(s)] of [lists.(s)], shifted to
+     [[los.(s), his.(s)]]; values are compared in place
+     ({!Sim_list.ranks_above}), never copied out as boxed floats *)
+  let lists = Array.make cap first and idx = Array.make cap 0 in
+  let los = Array.make cap 0 and his = Array.make cap 0 in
   let size = ref 0 in
   (* [worse i j]: the entry in slot i ranks below the one in slot j *)
   let worse i j =
-    vals.(i) < vals.(j) || (vals.(i) = vals.(j) && los.(i) > los.(j))
+    Sim_list.ranks_above lists.(j) idx.(j) ~lo:los.(j) lists.(i) idx.(i)
+      ~lo:los.(i)
+  in
+  let set s l i lo hi =
+    lists.(s) <- l;
+    idx.(s) <- i;
+    los.(s) <- lo;
+    his.(s) <- hi
   in
   let swap i j =
-    let v = vals.(i) and lo = los.(i) and hi = his.(i) in
-    vals.(i) <- vals.(j);
-    los.(i) <- los.(j);
-    his.(i) <- his.(j);
-    vals.(j) <- v;
-    los.(j) <- lo;
-    his.(j) <- hi
+    let l = lists.(i) and x = idx.(i) and lo = los.(i) and hi = his.(i) in
+    set i lists.(j) idx.(j) los.(j) his.(j);
+    set j l x lo hi
   in
   let rec up i =
     let p = (i - 1) / 2 in
@@ -72,24 +80,33 @@ let select ~name parts ~k =
       down m
     end
   in
-  let offer off (iv, v) =
-    let lo = Interval.lo iv + off in
-    if !size < cap then begin
-      vals.(!size) <- v;
-      los.(!size) <- lo;
-      his.(!size) <- Interval.hi iv + off;
-      incr size;
-      up (!size - 1)
-    end
-    else if cap > 0 && (v > vals.(0) || (v = vals.(0) && lo < los.(0)))
-    then begin
-      vals.(0) <- v;
-      los.(0) <- lo;
-      his.(0) <- Interval.hi iv + off;
-      down 0
-    end
-  in
-  List.iter (fun (l, off) -> List.iter (offer off) (Sim_list.entries l)) parts;
+  (* once the heap is full, [Sim_list.next_above] skips, in one loop
+     over the packed arrays, every entry that ranks below its root *)
+  if cap > 0 then
+    List.iter
+      (fun (l, off) ->
+        let n = Sim_list.length l in
+        let i = ref 0 in
+        while !i < n do
+          if !size < cap then begin
+            set !size l !i (Sim_list.lo l !i + off) (Sim_list.hi l !i + off);
+            incr size;
+            up (!size - 1);
+            incr i
+          end
+          else begin
+            let j =
+              Sim_list.next_above l ~off ~from:!i lists.(0) idx.(0)
+                ~lo:los.(0)
+            in
+            if j < n then begin
+              set 0 l j (Sim_list.lo l j + off) (Sim_list.hi l j + off);
+              down 0
+            end;
+            i := j + 1
+          end
+        done)
+      parts;
   (* heapsort in place: moving the worst kept entry behind the shrinking
      heap, one slot at a time, leaves the slots ranked best first *)
   let kept = !size in
@@ -102,7 +119,8 @@ let select ~name parts ~k =
     if n = 0 || i = kept then []
     else
       let m = min n (his.(i) - los.(i) + 1) in
-      List.init m (fun j -> (los.(i) + j, Sim.make ~actual:vals.(i) ~max))
+      let sim = Sim.make ~actual:(Sim_list.value lists.(i) idx.(i)) ~max in
+      List.init m (fun j -> (los.(i) + j, sim))
       @ take (n - m) (i + 1)
   in
   take k 0

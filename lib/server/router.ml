@@ -151,7 +151,7 @@ let preregister m =
     ];
   List.iter
     (Obs.Metrics.declare_gauge m)
-    [ "server.queue_depth"; "server.active_requests" ];
+    [ "server.queue_depth"; "server.active_requests"; "cache.words" ];
   List.iter
     (Obs.Metrics.declare_histogram m)
     [ "server.request_latency_s"; "server.queue_wait_s" ]
@@ -501,10 +501,22 @@ let trace_target target =
   then Some (String.sub target n (String.length target - n))
   else None
 
+(* Words the shard caches keep resident, read when a scrape asks. *)
+let cache_words state =
+  Array.fold_left
+    (fun n ctx ->
+      match Engine.Context.cache ctx with
+      | Some c -> n + (Engine.Cache.stats c).words
+      | None -> n)
+    0
+    (Sharded.contexts state.sharded)
+
 let route state req =
   match (req.Http.meth, req.Http.target) with
   | "GET", "/healthz" -> Http.response ~headers:text_headers ~status:200 "ok\n"
   | "GET", "/metrics" ->
+      Obs.Metrics.set_gauge state.metrics "cache.words"
+        (float_of_int (cache_words state));
       Http.response
         ~headers:[ ("Content-Type", "text/plain; version=0.0.4") ]
         ~status:200
@@ -515,7 +527,13 @@ let route state req =
         ~status:200
         (Obs.Querylog.to_jsonl state.querylog)
   | "GET", "/stats" ->
-      json_response ~status:200 (Obs.Stats.to_json state.stats)
+      let cache =
+        ("cache", Json.Obj [ ("words", Json.Int (cache_words state)) ])
+      in
+      json_response ~status:200
+        (match Obs.Stats.to_json state.stats with
+        | Json.Obj fields -> Json.Obj (fields @ [ cache ])
+        | other -> other)
   | "GET", ("/trace" | "/trace/") -> run_trace_list state
   | "GET", target when trace_target target <> None ->
       run_trace_get state (Option.get (trace_target target))

@@ -11,11 +11,13 @@
       per-query error isolation (one bad query yields an error slot,
       never a failed batch);
     - [GET /metrics] — Prometheus text exposition of the state's
-      registry;
+      registry, with the [cache.words] gauge (words the shard caches
+      keep resident, {!Engine.Cache.stats}) read at the scrape;
     - [GET /slowlog] — the slow-query ring as JSONL;
     - [GET /stats] — the always-on {!Obs.Stats} collector as JSON:
       per-fingerprint EWMA latency and windowed quantiles, per-atom
-      observed selectivity, per-backend error rates;
+      observed selectivity, per-backend error rates, and
+      [cache.words] as on [/metrics];
     - [GET /trace] — retained trace summaries (JSON array);
     - [GET /trace/<id>] — one retained trace as Chrome trace-event
       JSON;

@@ -1,198 +1,341 @@
 type entry = Interval.t * float
-type t = { max : float; entries : entry list }
+
+(* Struct of arrays: entry [i] covers [[bounds.(2i), bounds.(2i+1)]] at
+   value [vals.(i)].  Both arrays hold exactly the entries (never slack),
+   and [vals] is a flat float array, so a list of n entries is 3n + 8
+   words: 2n + 1 for [bounds], n + 1 for [vals], 4 for the record and 2
+   for the boxed [max].  Every empty list shares the two empty arrays. *)
+type t = { max : float; bounds : int array; vals : float array }
 
 let float_tolerance = 1e-9
+let empty_bounds : int array = [||]
+let empty_vals : float array = [||]
+let length t = Array.length t.vals
+let[@inline] lo t i = t.bounds.(2 * i)
+let[@inline] hi t i = t.bounds.((2 * i) + 1)
+let value t i = t.vals.(i)
+let max_sim t = t.max
+let is_empty t = length t = 0
+let words t = (3 * length t) + 8
+
+(* The top-k ranking, written here only: entry [i] of [a], starting at
+   [alo] once shifted, ranks above entry [j] of [b], starting at [blo],
+   when its value is larger or, equal, it starts earlier.  The values
+   are compared where they lie; a call returning one would box it. *)
+let[@inline] ranks_above a i ~lo:alo b j ~lo:blo =
+  let va = a.vals.(i) and vb = b.vals.(j) in
+  va > vb || (va = vb && alo < blo)
+
+let next_above t ~off ~from u j ~lo:ulo =
+  let n = length t in
+  let i = ref from in
+  while !i < n && not (ranks_above t !i ~lo:(lo t !i + off) u j ~lo:ulo) do
+    incr i
+  done;
+  !i
+
+let negative_max () = invalid_arg "Sim_list.of_entries: negative max"
+
+let exceeds v max =
+  invalid_arg
+    (Printf.sprintf "Sim_list.of_entries: actual %g exceeds max %g" v max)
+
+let tolerance max = float_tolerance *. Float.max 1. (Float.abs max)
+
+let empty ~max =
+  if max < 0. then negative_max ();
+  { max; bounds = empty_bounds; vals = empty_vals }
 
 (* --- canonical output in one pass -------------------------------------
 
    Every kernel walks its canonical inputs once, left to right, and
-   emits its output pieces in id order.  All but [merge2] (see there)
-   push them onto a reversed accumulator.  The push keeps the
-   accumulator canonical as it goes: empty and non-positive pieces are
-   dropped, values are clamped to [max], and a piece that abuts the
+   emits its output pieces in id order into a buffer of its own, which
+   [finish] trims to the exact entry count.  A buffer is created by the
+   call that fills it and never outlives it: the server's worker threads
+   share one domain and can preempt each other inside a kernel, so a
+   buffer kept between calls would be written by two of them.  The push
+   keeps the buffer canonical as it goes: empty and non-positive pieces
+   are dropped, values are clamped to [max], and a piece that abuts the
    previous one with the same value extends it.  The result then needs
-   a [List.rev], never a sort or a second pass. *)
+   no sort and no second pass.
 
-(* [e] starts after the accumulator's last piece and needs no clamp *)
-let push_entry ((iv, v) as e) acc =
-  match acc with
-  | (piv, pv) :: tl when pv = v && Interval.adjacent piv iv ->
-      (Interval.make (Interval.lo piv) (Interval.hi iv), v) :: tl
-  | _ -> e :: acc
+   A buffer's slack is garbage the moment the kernel returns, and a
+   large buffer lands in the major heap and stays until a major cycle
+   ends.  So [merge2], whose bound is twice its input, sweeps twice:
+   first into a [counter], which keeps only the last piece (all [push]
+   reads) and counts, then into arrays of the exact size ([exactly]). *)
 
-let push ~max lo hi v acc =
-  if lo > hi || not (v > 0.) then acc
-  else
-    let v = Float.min v max in
-    match acc with
-    | (piv, pv) :: tl when pv = v && Interval.hi piv + 1 = lo ->
-        (Interval.make (Interval.lo piv) hi, v) :: tl
-    | _ -> (Interval.make lo hi, v) :: acc
+type buf = {
+  mutable bs : int array;
+  mutable vs : float array;
+  mutable n : int;
+  counting : bool;  (* one slot, overwritten: count the pieces only *)
+}
 
-let finish ~max acc = { max; entries = List.rev acc }
+let buf cap =
+  {
+    bs = Array.make (2 * cap) 0;
+    vs = Array.make cap 0.;
+    n = 0;
+    counting = false;
+  }
 
-(* Input that is canonical already (the usual case: kernel outputs,
-   dense conversions, decoded lists) is kept as it is. *)
-let rec canonical ~max = function
-  | [] -> true
-  | [ (_, v) ] -> v > 0. && v <= max
-  | (iv1, v1) :: ((iv2, v2) :: _ as tl) ->
-      v1 > 0. && v1 <= max
-      && Interval.hi iv1 < Interval.lo iv2
-      && (not (v1 = v2 && Interval.adjacent iv1 iv2))
-      && canonical ~max tl
+let counter () =
+  { bs = Array.make 2 0; vs = Array.make 1 0.; n = 0; counting = true }
 
-(* each entry ends before the next begins: sorted and disjoint *)
-let rec ordered = function
-  | (iv1, _) :: ((iv2, _) :: _ as tl) ->
-      Interval.hi iv1 < Interval.lo iv2 && ordered tl
-  | [ _ ] | [] -> true
+let grow o need =
+  let cap = ref (Int.max 1 (Array.length o.vs)) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let bs = Array.make (2 * !cap) 0 and vs = Array.make !cap 0. in
+  Array.blit o.bs 0 bs 0 (2 * o.n);
+  Array.blit o.vs 0 vs 0 o.n;
+  o.bs <- bs;
+  o.vs <- vs
 
-let check_disjoint entries =
-  let rec go = function
-    | (iv1, _) :: ((iv2, _) :: _ as tl) ->
-        if Interval.hi iv1 >= Interval.lo iv2 then
-          invalid_arg
-            (Printf.sprintf "Sim_list: overlapping intervals %s and %s"
-               (Interval.to_string iv1) (Interval.to_string iv2));
-        go tl
-    | [ _ ] | [] -> ()
+let reserve o k = if o.n + k > Array.length o.vs then grow o (o.n + k)
+
+(* Inlined, so a value stays unboxed from the kernel's arithmetic to
+   the buffer. *)
+let[@inline] push o ~max lo hi v =
+  if lo <= hi && v > 0. then begin
+    let v = if v > max then max else v and n = o.n in
+    let last = if o.counting then 0 else n - 1 in
+    if n > 0 && o.vs.(last) = v && o.bs.((2 * last) + 1) + 1 = lo then
+      o.bs.((2 * last) + 1) <- hi
+    else begin
+      let at = if o.counting then 0 else n in
+      if at = Array.length o.vs then grow o (n + 1);
+      o.bs.(2 * at) <- lo;
+      o.bs.((2 * at) + 1) <- hi;
+      o.vs.(at) <- v;
+      o.n <- n + 1
+    end
+  end
+
+let finish ~max o =
+  let n = o.n in
+  if n = 0 then { max; bounds = empty_bounds; vals = empty_vals }
+  else if n = Array.length o.vs then { max; bounds = o.bs; vals = o.vs }
+  else { max; bounds = Array.sub o.bs 0 (2 * n); vals = Array.sub o.vs 0 n }
+
+(* [fill o] pushes a kernel's pieces into [o] *)
+let exactly ~max fill =
+  let c = counter () in
+  fill c;
+  let o = buf c.n in
+  fill o;
+  finish ~max o
+
+(* --- building from pieces --------------------------------------------- *)
+
+(* [n] pieces in [bs]/[vs] that are canonical already (the usual case:
+   decoded lists, workload builders) are kept as they are. *)
+let canonical ~max bs vs n =
+  let rec go i =
+    i >= n
+    || vs.(i) > 0.
+       && vs.(i) <= max
+       && (i + 1 = n
+          || (let hi = bs.((2 * i) + 1) and next_lo = bs.((2 * i) + 2) in
+              hi < next_lo && not (vs.(i) = vs.(i + 1) && hi + 1 = next_lo)))
+       && go (i + 1)
   in
-  go entries
+  go 0
+
+(* each piece ends before the next begins: sorted and disjoint *)
+let ordered bs n =
+  let rec go i =
+    i + 1 >= n || (bs.((2 * i) + 1) < bs.((2 * i) + 2) && go (i + 1))
+  in
+  go 0
+
+(* The one canonicalising path behind [of_entries] and [scale_max]:
+   [bs]/[vs] are the caller's fresh arrays, kept as they are when
+   canonical and reused as scratch otherwise. *)
+let of_arrays ~max bs vs =
+  if max < 0. then negative_max ();
+  let n = Array.length vs in
+  if n = 0 then empty ~max
+  else if canonical ~max bs vs n then { max; bounds = bs; vals = vs }
+  else begin
+    (* drop the non-positive pieces in place *)
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      if vs.(i) > 0. then begin
+        bs.(2 * !m) <- bs.(2 * i);
+        bs.((2 * !m) + 1) <- bs.((2 * i) + 1);
+        vs.(!m) <- vs.(i);
+        incr m
+      end
+    done;
+    let m = !m in
+    let bs, vs =
+      if ordered bs m then (bs, vs)
+      else begin
+        let perm = Array.init m Fun.id in
+        Array.stable_sort
+          (fun i j ->
+            match Int.compare bs.(2 * i) bs.(2 * j) with
+            | 0 -> Int.compare bs.((2 * i) + 1) bs.((2 * j) + 1)
+            | c -> c)
+          perm;
+        let sbs = Array.make (2 * m) 0 and svs = Array.make m 0. in
+        Array.iteri
+          (fun k i ->
+            sbs.(2 * k) <- bs.(2 * i);
+            sbs.((2 * k) + 1) <- bs.((2 * i) + 1);
+            svs.(k) <- vs.(i))
+          perm;
+        let piece k =
+          Interval.to_string (Interval.make sbs.(2 * k) sbs.((2 * k) + 1))
+        in
+        for k = 0 to m - 2 do
+          if sbs.((2 * k) + 1) >= sbs.((2 * k) + 2) then
+            invalid_arg
+              (Printf.sprintf "Sim_list: overlapping intervals %s and %s"
+                 (piece k) (piece (k + 1)))
+        done;
+        (sbs, svs)
+      end
+    in
+    let tol = tolerance max in
+    let o = buf m in
+    for i = 0 to m - 1 do
+      let v = vs.(i) in
+      if v > max +. tol then exceeds v max;
+      push o ~max bs.(2 * i) bs.((2 * i) + 1) v
+    done;
+    finish ~max o
+  end
 
 let of_entries ~max entries =
-  if max < 0. then invalid_arg "Sim_list.of_entries: negative max";
-  if canonical ~max entries then { max; entries }
-  else
-    let entries = List.filter (fun (_, v) -> v > 0.) entries in
-    let entries =
-      if ordered entries then entries
-      else
-        let sorted =
-          List.sort (fun (a, _) (b, _) -> Interval.compare a b) entries
-        in
-        check_disjoint sorted;
-        sorted
-    in
-    let tolerance = float_tolerance *. Float.max 1. (Float.abs max) in
-    finish ~max
-      (List.fold_left
-         (fun acc (iv, v) ->
-           if v > max +. tolerance then
-             invalid_arg
-               (Printf.sprintf "Sim_list.of_entries: actual %g exceeds max %g"
-                  v max);
-           push ~max (Interval.lo iv) (Interval.hi iv) v acc)
-         [] entries)
+  let n = List.length entries in
+  let bs = Array.make (2 * n) 0 and vs = Array.make n 0. in
+  List.iteri
+    (fun i (iv, v) ->
+      bs.(2 * i) <- Interval.lo iv;
+      bs.((2 * i) + 1) <- Interval.hi iv;
+      vs.(i) <- v)
+    entries;
+  of_arrays ~max bs vs
 
-let empty ~max = of_entries ~max []
-let entries t = t.entries
-let max_sim t = t.max
-(* O(n), but only reached from tests and bench reporting — every
-   hot-path cardinality question goes through Sim_table.row_count,
-   which is O(1). *)
-let length t = List.length t.entries
-let is_empty t = t.entries = []
+let entries t =
+  List.init (length t) (fun i -> (Interval.make (lo t i) (hi t i), t.vals.(i)))
 
 let covered t =
-  List.fold_left (fun n (iv, _) -> n + Interval.length iv) 0 t.entries
+  let c = ref 0 in
+  for i = 0 to length t - 1 do
+    c := !c + hi t i - lo t i + 1
+  done;
+  !c
 
+(* binary search for the last entry starting at or before [id] *)
 let value_at t id =
-  let rec go = function
-    | [] -> 0.
-    | (iv, v) :: tl ->
-        if id < Interval.lo iv then 0.
-        else if id <= Interval.hi iv then v
-        else go tl
+  let rec go a b =
+    if a < b then
+      let m = (a + b) / 2 in
+      if lo t m <= id then go (m + 1) b else go a m
+    else if a > 0 && id <= hi t (a - 1) then t.vals.(a - 1)
+    else 0.
   in
-  go t.entries
+  go 0 (length t)
 
 let sim_at t id = Sim.make ~actual:(value_at t id) ~max:t.max
 let fraction_at t id = if t.max = 0. then 0. else value_at t id /. t.max
 
 let equal a b =
-  a.max = b.max
-  && List.equal
-       (fun (i1, v1) (i2, v2) -> Interval.equal i1 i2 && v1 = v2)
-       a.entries b.entries
+  let n = length a in
+  let rec same i =
+    i >= n
+    || a.vals.(i) = b.vals.(i)
+       && lo a i = lo b i
+       && hi a i = hi b i
+       && same (i + 1)
+  in
+  a.max = b.max && n = length b && same 0
 
 let pp ppf t =
   let pp_entry ppf (iv, v) = Format.fprintf ppf "%a:%g" Interval.pp iv v in
   Format.fprintf ppf "@[<h>{max=%g;@ %a}@]" t.max
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_entry)
-    t.entries
+    (entries t)
 
 (* --- the two-pointer sweep ------------------------------------------ *)
 
-(* One walk over both canonical entry lists, cutting at each entry
-   boundary as it comes: [combine va vb] is emitted for every stretch
-   where at least one side is non-zero.  Stretches where both are zero
-   are skipped, so [combine 0. 0.] must be <= 0.  [pos] is the first id
-   not yet swept; every entry left in [la] and [lb] ends at or after it.
-   This is the kernel behind every conjunction and max-merge, so unlike
-   the others it builds its output front to back (tail-mod-cons) rather
-   than reversing an accumulator: the piece [[plo, phi]] with value [pv]
-   is held back until the next one shows whether it extends it ([pv =
-   0.] when nothing is held). *)
-let merge2 ~max combine la lb =
-  let[@tail_mod_cons] rec go pos la lb plo phi pv =
-    match (la, lb) with
-    | [], [] -> if pv > 0. then [ (Interval.make plo phi, pv) ] else []
-    | (ia, va) :: ta, [] ->
-        emit (Interval.hi ia + 1) ta [] plo phi pv
-          (Int.max pos (Interval.lo ia))
-          (Interval.hi ia) (combine va 0.)
-    | [], (ib, vb) :: tb ->
-        emit (Interval.hi ib + 1) [] tb plo phi pv
-          (Int.max pos (Interval.lo ib))
-          (Interval.hi ib) (combine 0. vb)
-    | (ia, va) :: ta, (ib, vb) :: tb ->
-        let alo = Int.max pos (Interval.lo ia)
-        and blo = Int.max pos (Interval.lo ib) in
-        let lo = Int.min alo blo in
-        let a_in = alo = lo and b_in = blo = lo in
-        let hi =
-          Int.min
-            (if a_in then Interval.hi ia else alo - 1)
-            (if b_in then Interval.hi ib else blo - 1)
-        in
-        emit (hi + 1)
-          (if hi = Interval.hi ia then ta else la)
-          (if hi = Interval.hi ib then tb else lb)
-          plo phi pv lo hi
-          (combine (if a_in then va else 0.) (if b_in then vb else 0.))
-  and[@tail_mod_cons] emit pos la lb plo phi pv lo hi v =
-    if not (v > 0.) then go pos la lb plo phi pv
-    else
-      let v = Float.min v max in
-      if pv = v && phi + 1 = lo then go pos la lb plo hi pv
-      else if pv > 0. then (Interval.make plo phi, pv) :: go pos la lb lo hi v
-      else go pos la lb lo hi v
-  in
-  { max; entries = go min_int la lb 0 0 0. }
+type conj_mode = Weighted_sum | Min_fraction | Product_fraction
+
+(* What [merge2] emits where [a] reads [va] and [b] reads [vb] (0. where
+   a side has no entry): a conjunction under one of the modes, the
+   maximum, or [va] masked by [b].  A variant rather than a closure, so
+   the values never leave unboxed floats. *)
+type combine = Conj of conj_mode | Max | Mask
+
+let[@inline] frac max v = if max = 0. then 1. else v /. max
+
+let[@inline] combine op ~ma ~mb ~m va vb =
+  match op with
+  | Conj Weighted_sum -> va +. vb
+  | Conj Min_fraction ->
+      let fa = frac ma va and fb = frac mb vb in
+      (if fa <= fb then fa else fb) *. m
+  | Conj Product_fraction -> frac ma va *. frac mb vb *. m
+  | Max -> if va >= vb then va else vb
+  | Mask -> if vb > 0. then va else 0.
+
+(* One walk over both canonical lists by index, cutting at each entry
+   boundary as it comes: the [combine] of the two values is emitted for
+   every stretch where at least one side is non-zero.  Stretches where
+   both are zero are skipped (every [combine] of 0. and 0. is 0.).
+   [pos] is the first id not yet swept; entries [ia..] of [a] and
+   [ib..] of [b] end at or after it.  This is the kernel behind every
+   conjunction and max-merge.  A stretch ends at an entry's end or just
+   before one's start, so the output can reach 2(|a| + |b|) entries:
+   it counts them first ([exactly]). *)
+let merge2 ~max op a b =
+  let ma = a.max and mb = b.max in
+  let na = length a and nb = length b in
+  exactly ~max @@ fun o ->
+  let pos = ref min_int and ia = ref 0 and ib = ref 0 in
+  while !ia < na || !ib < nb do
+    let i = !ia and j = !ib in
+    if i < na && j < nb then begin
+      let ahi = hi a i and bhi = hi b j in
+      let alo = Int.max !pos (lo a i) and blo = Int.max !pos (lo b j) in
+      let lo = Int.min alo blo in
+      let a_in = alo = lo and b_in = blo = lo in
+      let hi =
+        Int.min (if a_in then ahi else alo - 1) (if b_in then bhi else blo - 1)
+      in
+      push o ~max lo hi
+        (combine op ~ma ~mb ~m:max
+           (if a_in then a.vals.(i) else 0.)
+           (if b_in then b.vals.(j) else 0.));
+      pos := hi + 1;
+      if hi = ahi then ia := i + 1;
+      if hi = bhi then ib := j + 1
+    end
+    else if i < na then begin
+      let hi = hi a i in
+      push o ~max (Int.max !pos (lo a i)) hi
+        (combine op ~ma ~mb ~m:max a.vals.(i) 0.);
+      pos := hi + 1;
+      ia := i + 1
+    end
+    else begin
+      let hi = hi b j in
+      push o ~max (Int.max !pos (lo b j)) hi
+        (combine op ~ma ~mb ~m:max 0. b.vals.(j));
+      pos := hi + 1;
+      ib := j + 1
+    end
+  done
 
 (* --- the paper's operations ---------------------------------------- *)
 
-let conjunction a b = merge2 ~max:(a.max +. b.max) ( +. ) a.entries b.entries
-
-type conj_mode = Weighted_sum | Min_fraction | Product_fraction
-
-let conjunction_mode mode a b =
-  match mode with
-  | Weighted_sum -> conjunction a b
-  | Min_fraction | Product_fraction ->
-      let m = a.max +. b.max in
-      let frac max v = if max = 0. then 1. else v /. max in
-      let combine va vb =
-        let f =
-          match mode with
-          | Min_fraction -> Float.min (frac a.max va) (frac b.max vb)
-          | Product_fraction -> frac a.max va *. frac b.max vb
-          | Weighted_sum -> assert false
-        in
-        f *. m
-      in
-      merge2 ~max:m combine a.entries b.entries
+let conjunction_mode mode a b = merge2 ~max:(a.max +. b.max) (Conj mode) a b
+let conjunction a b = conjunction_mode Weighted_sum a b
 
 let conjunction_many = function
   | [] -> invalid_arg "Sim_list.conjunction_many: empty"
@@ -202,107 +345,128 @@ let conjunction_many = function
    cut where it would cross into an earlier extent, which drops the last
    id of every extent. *)
 let next_shift ~extents t =
-  let rec piece lo hi v acc =
-    let ext = Extent.containing extents lo in
+  let max = t.max in
+  (* an entry gains a piece only where it crosses an extent end *)
+  let o = buf (length t + Extent.count extents) in
+  (* entry [i], from [lo] on *)
+  let rec piece i lo =
+    let ext = Extent.containing extents lo and hi = hi t i in
     let ext_hi = Interval.hi ext in
-    let acc =
-      push ~max:t.max
-        (Int.max (lo - 1) (Interval.lo ext))
-        (Int.min hi ext_hi - 1) v acc
-    in
-    if hi > ext_hi then piece (ext_hi + 1) hi v acc else acc
+    push o ~max
+      (Int.max (lo - 1) (Interval.lo ext))
+      (Int.min hi ext_hi - 1) t.vals.(i);
+    if hi > ext_hi then piece i (ext_hi + 1)
   in
-  finish ~max:t.max
-    (List.fold_left
-       (fun acc (iv, v) -> piece (Interval.lo iv) (Interval.hi iv) v acc)
-       [] t.entries)
+  for i = 0 to length t - 1 do
+    piece i (lo t i)
+  done;
+  finish ~max o
 
 let default_threshold = 0.5
 
-let rec drop_through id = function
-  | (iv, _) :: tl when Interval.hi iv <= id -> drop_through id tl
-  | l -> l
+(* the first entry of [h] from [i] on that ends after [id] *)
+let rec drop_through h id i =
+  if i < length h && hi h i <= id then drop_through h id (i + 1) else i
 
 (* h's own value at every id of [[pos, upto]] (the until semantics allow
-   [u'' = u]).  Returns the entries that reach past [upto]. *)
-let rec self ~max pos upto hs acc =
-  match hs with
-  | ((iv, v) as e) :: tl when Interval.lo iv <= upto ->
-      let hi = Interval.hi iv in
-      if hi > upto then
-        (hs, push ~max (Int.max pos (Interval.lo iv)) upto v acc)
-      else if pos <= Interval.lo iv then self ~max pos upto tl (push_entry e acc)
-      else self ~max pos upto tl (push ~max pos hi v acc)
-  | _ -> (hs, acc)
+   [u'' = u]), from entry [i] on.  Returns the first entry that reaches
+   past [upto]. *)
+let rec self o ~max h pos upto i =
+  if i < length h && lo h i <= upto then begin
+    let hi = hi h i in
+    push o ~max (Int.max pos (lo h i)) (Int.min hi upto) h.vals.(i);
+    if hi > upto then i else self o ~max h pos upto (i + 1)
+  end
+  else i
 
 (* Inside a corridor [[b, e]] whose window ends at [w] (e or e+1): at
-   id [i] the best h value in [[i, w]].  [hs] are h's entries from the
-   first one that ends at or after [b].  The window's entries are
-   gathered rightmost first, then read right to left: there the running
-   maximum only grows, so each larger value opens a new run and the runs
-   come out coalesced, left to right. *)
-let suffix_max ~b ~e ~w hs acc =
-  let rec gather rin = function
-    | ((iv, _) as en) :: tl when Interval.lo iv <= w -> gather (en :: rin) tl
-    | _ -> rin
-  in
-  let run lo hi best out =
-    if best > 0. && lo <= hi then (Interval.make lo hi, best) :: out else out
-  in
-  let rec runs run_hi best out = function
-    | [] -> run b run_hi best out
-    | (iv, v) :: tl ->
-        if v > best then
-          let hi = Int.min w (Interval.hi iv) in
-          runs (Int.min hi e) v (run (hi + 1) run_hi best out) tl
-        else runs run_hi best out tl
-  in
-  List.fold_left
-    (fun acc en -> push_entry en acc)
-    acc
-    (runs e 0. [] (gather [] hs))
+   id [i] the best h value in [[i, w]].  Entries [i0..] of [h] end at
+   or after [b]; the window is those that start by [w].  It is read
+   right to left by index: there the running maximum only grows, so
+   each larger value closes the run to its right.  The window of k
+   entries closes at most k + 1 runs, which are written from the far
+   end of k + 1 reserved slots down and then moved left behind the
+   output with [push], so they come out coalesced, left to right. *)
+let[@inline] put o k lo hi v =
+  o.bs.(2 * k) <- lo;
+  o.bs.((2 * k) + 1) <- hi;
+  o.vs.(k) <- v
+
+let suffix_max o ~max h ~b ~e ~w i0 =
+  let j = ref i0 in
+  while !j < length h && lo h !j <= w do
+    incr j
+  done;
+  let top = o.n + (!j - i0) + 1 in
+  reserve o (top - o.n);
+  (* runs fill slots [k, top); [best] holds over [[?, run_hi]] *)
+  let k = ref top and run_hi = ref e and best = ref 0. in
+  for i = !j - 1 downto i0 do
+    let v = h.vals.(i) in
+    if v > !best then begin
+      let hi = Int.min w (hi h i) in
+      if !best > 0. && hi < !run_hi then begin
+        decr k;
+        put o !k (hi + 1) !run_hi !best
+      end;
+      run_hi := Int.min hi e;
+      best := v
+    end
+  done;
+  if !best > 0. && b <= !run_hi then begin
+    decr k;
+    put o !k b !run_hi !best
+  end;
+  (* slot [s] >= the output's end at every step, so nothing unread is
+     overwritten *)
+  for s = !k to top - 1 do
+    push o ~max o.bs.(2 * s) o.bs.((2 * s) + 1) o.vs.(s)
+  done
 
 (* The run of ids [[b, e]] cut at extent ends into corridors: h's own
-   value up to each corridor, the suffix maximum inside it. *)
-let rec corridors ~max ~extents pos b e hs acc =
-  match hs with
-  | [] -> ([], acc)
-  | _ ->
-      let ext_hi = Extent.last_of extents b in
-      let ce = Int.min e ext_hi in
-      let hs, acc = self ~max pos (b - 1) hs acc in
-      let acc = suffix_max ~b ~e:ce ~w:(Int.min (ce + 1) ext_hi) hs acc in
-      let hs = drop_through ce hs in
-      if ce < e then corridors ~max ~extents (ce + 1) (ce + 1) e hs acc
-      else (hs, acc)
+   value up to each corridor, the suffix maximum inside it.  Returns
+   the first entry of [h] not yet consumed. *)
+let rec corridors o ~max ~extents h pos b e i =
+  if i >= length h then i
+  else begin
+    let ext_hi = Extent.last_of extents b in
+    let ce = Int.min e ext_hi in
+    let i = self o ~max h pos (b - 1) i in
+    suffix_max o ~max h ~b ~e:ce ~w:(Int.min (ce + 1) ext_hi) i;
+    let i = drop_through h ce i in
+    if ce < e then corridors o ~max ~extents h (ce + 1) (ce + 1) e i else i
+  end
 
 let until_merge ?(threshold = default_threshold) ~extents g h =
   let max = h.max in
-  let above v = g.max > 0. && v /. g.max >= threshold in
-  (* the last id of the above-threshold run that reaches [e] *)
-  let rec run_end e = function
-    | (iv, v) :: tl when Interval.lo iv = e + 1 && above v ->
-        run_end (Interval.hi iv) tl
-    | gs -> (e, gs)
+  let above i = g.max > 0. && g.vals.(i) /. g.max >= threshold in
+  let ng = length g and nh = length h in
+  let o = buf nh in
+  (* the last id of the above-threshold run that reaches [e], and the
+     first g entry past it *)
+  let rec run_end e j =
+    if j < ng && lo g j = e + 1 && above j then run_end (hi g j) (j + 1)
+    else (e, j)
   in
-  let rec go pos gs hs acc =
-    match (gs, hs) with
-    | _, [] -> acc
-    | [], _ -> snd (self ~max pos max_int hs acc)
-    | (_, v) :: tl, _ when not (above v) -> go pos tl hs acc
-    | (iv, _) :: tl, _ ->
-        let e, tl = run_end (Interval.hi iv) tl in
-        let hs, acc = corridors ~max ~extents pos (Interval.lo iv) e hs acc in
-        go (e + 1) tl hs acc
+  let rec go pos ig ih =
+    if ih < nh then
+      if ig >= ng then ignore (self o ~max h pos max_int ih)
+      else if not (above ig) then go pos (ig + 1) ih
+      else
+        let e, ig' = run_end (hi g ig) (ig + 1) in
+        go (e + 1) ig' (corridors o ~max ~extents h pos (lo g ig) e ih)
   in
-  finish ~max (go min_int g.entries h.entries [])
+  go min_int 0 0;
+  finish ~max o
 
 (* [true until t]: every extent is one corridor *)
 let eventually ~extents t =
-  finish ~max:t.max
-    (snd
-       (corridors ~max:t.max ~extents min_int 1 (Extent.total extents)
-          t.entries []))
+  (* the runs of one extent's window take the slots it reserves: one
+     more than its entries *)
+  let o = buf (length t + Extent.count extents) in
+  ignore
+    (corridors o ~max:t.max ~extents t min_int 1 (Extent.total extents) 0);
+  finish ~max:t.max o
 
 let check_same_max ?(fn = "merge_max") = function
   | [] -> invalid_arg (Printf.sprintf "Sim_list.%s: empty" fn)
@@ -314,7 +478,7 @@ let check_same_max ?(fn = "merge_max") = function
         rest;
       first.max
 
-let max2 a b = merge2 ~max:a.max Float.max a.entries b.entries
+let max2 a b = merge2 ~max:a.max Max a b
 
 let merge_max lists =
   let _ = check_same_max lists in
@@ -336,86 +500,105 @@ let merge_max_pairwise lists =
   | first :: rest -> List.fold_left max2 first rest
 
 let restrict t spans =
-  let indicator = List.map (fun iv -> (iv, 1.)) spans in
-  merge2 ~max:t.max
-    (fun v ind -> if ind > 0. then v else 0.)
-    t.entries indicator
+  let n = List.length spans in
+  let bounds = Array.make (2 * n) 0 in
+  List.iteri
+    (fun i iv ->
+      bounds.(2 * i) <- Interval.lo iv;
+      bounds.((2 * i) + 1) <- Interval.hi iv)
+    spans;
+  let indicator = { max = 1.; bounds; vals = Array.make n 1. } in
+  merge2 ~max:t.max Mask t indicator
 
-let scale_max t ~max = of_entries ~max t.entries
+let scale_max t ~max =
+  if max >= 0. && Array.for_all (fun v -> v <= max) t.vals then { t with max }
+  else of_arrays ~max (Array.copy t.bounds) (Array.copy t.vals)
 
 (* --- concatenating shifted lists -------------------------------------- *)
 
 let concat_max parts = check_same_max ~fn:"concat" (List.map fst parts)
 
-let shift_entry off (iv, v) = (Interval.shift off iv, v)
-
-(* [prev] ends an earlier list and [next] starts the following non-empty
-   one, both shifted: they must be in order and disjoint, and coalesce
-   when they abut with equal values.  The only check [concat] needs —
-   inside each list the entries are canonical already. *)
-let joins (piv, pv) (niv, nv) =
-  if Interval.hi piv >= Interval.lo niv then
+(* The last entry of an earlier list, [[plo, phi]] at [pv], and the
+   first of the following non-empty one, [[nlo, nhi]] at [nv], both
+   shifted: they must be in order and disjoint, and coalesce when they
+   abut with equal values.  The only check [concat] needs — inside each
+   list the entries are canonical already. *)
+let joins ~plo ~phi ~pv ~nlo ~nhi ~nv =
+  if phi >= nlo then
     invalid_arg
       (Printf.sprintf "Sim_list.concat: %s does not precede %s"
-         (Interval.to_string piv) (Interval.to_string niv));
-  pv = nv && Interval.adjacent piv niv
+         (Interval.to_string (Interval.make plo phi))
+         (Interval.to_string (Interval.make nlo nhi)));
+  pv = nv && phi + 1 = nlo
 
-let concat parts =
-  let max = concat_max parts in
-  (* built right to left, so [rest] starts with the first entry of the
-     next non-empty list: a list's last entry is the one place a
-     boundary can coalesce *)
-  let[@tail_mod_cons] rec onto off entries rest =
-    match entries with
-    | [] -> rest
-    | [ e ] -> (
-        let ((iv, v) as e) = shift_entry off e in
-        match rest with
-        | ((niv, _) as next) :: rest_tl when joins e next ->
-            (Interval.make (Interval.lo iv) (Interval.hi niv), v) :: rest_tl
-        | _ -> e :: rest)
-    | e :: tl -> shift_entry off e :: onto off tl rest
-  in
-  {
-    max;
-    entries =
-      List.fold_right (fun (l, off) rest -> onto off l.entries rest) parts [];
-  }
+(* The boundary walk behind both gathers, O(1) per part: [step ~at l
+   off joined] is called for each non-empty list [l], shifted by [off],
+   with the count [at] of entries gathered before it and whether its
+   first entry coalesces with the last of those.  Returns the count of
+   the whole gather. *)
+let walk parts step =
+  let n = ref 0 and plo = ref 0 and phi = ref 0 and pv = ref 0. in
+  List.iter
+    (fun (l, off) ->
+      let m = length l in
+      if m > 0 then begin
+        let joined =
+          !n > 0
+          && joins ~plo:!plo ~phi:!phi ~pv:!pv ~nlo:(lo l 0 + off)
+               ~nhi:(hi l 0 + off) ~nv:l.vals.(0)
+        in
+        step ~at:!n l off joined;
+        n := !n + m - Bool.to_int joined;
+        plo := lo l (m - 1) + off;
+        phi := hi l (m - 1) + off;
+        pv := l.vals.(m - 1)
+      end)
+    parts;
+  !n
 
 let concat_length parts =
   ignore (concat_max parts);
-  let rec length_last n last = function
-    | [] -> (n, last)
-    | e :: tl -> length_last (n + 1) e tl
-  in
-  fst
-    (List.fold_left
-       (fun (n, prev) (l, off) ->
-         match l.entries with
-         | [] -> (n, prev)
-         | first :: tl ->
-             let len, last = length_last 1 first tl in
-             let joined =
-               match prev with
-               | Some p -> joins p (shift_entry off first)
-               | None -> false
-             in
-             (n + len - Bool.to_int joined, Some (shift_entry off last)))
-       (0, None) parts)
+  walk parts (fun ~at:_ _ _ _ -> ())
+
+let concat parts =
+  let max = concat_max parts in
+  let n = walk parts (fun ~at:_ _ _ _ -> ()) in
+  let bs = Array.make (2 * n) 0 and vs = Array.make n 0. in
+  ignore
+    (walk parts (fun ~at l off joined ->
+         (* a coalescing first entry extends the one before it *)
+         if joined then bs.((2 * at) - 1) <- hi l 0 + off;
+         let first = Bool.to_int joined in
+         let dst = at - first in
+         for i = first to length l - 1 do
+           bs.(2 * (dst + i)) <- lo l i + off;
+           bs.((2 * (dst + i)) + 1) <- hi l i + off
+         done;
+         Array.blit l.vals first vs (dst + first) (length l - first)));
+  { max; bounds = bs; vals = vs }
 
 let to_dense ~n t =
   let a = Array.make n 0. in
-  List.iter
-    (fun (iv, v) ->
-      for i = Interval.lo iv to min (Interval.hi iv) n do
-        a.(i - 1) <- v
-      done)
-    t.entries;
+  for i = 0 to length t - 1 do
+    for id = lo t i to Int.min (hi t i) n do
+      a.(id - 1) <- t.vals.(i)
+    done
+  done;
   a
 
 let of_dense ~max arr =
-  let entries = ref [] in
+  if max < 0. then negative_max ();
+  let tol = tolerance max in
   let n = Array.length arr in
+  (* one entry per run of equal positive values at most (clamping can
+     only merge runs): a compare-only scan sizes the buffer *)
+  let runs = ref 0 and prev = ref 0. in
+  for i = 0 to n - 1 do
+    let v = arr.(i) in
+    if v > 0. && v <> !prev then incr runs;
+    prev := v
+  done;
+  let o = buf !runs in
   let i = ref 0 in
   while !i < n do
     let v = arr.(!i) in
@@ -424,42 +607,54 @@ let of_dense ~max arr =
       while !j + 1 < n && arr.(!j + 1) = v do
         incr j
       done;
-      entries := (Interval.make (!i + 1) (!j + 1), v) :: !entries;
+      if v > max +. tol then exceeds v max;
+      push o ~max (!i + 1) (!j + 1) v;
       i := !j + 1
     end
     else incr i
   done;
-  of_entries ~max (List.rev !entries)
+  finish ~max o
 
 (* One walk over the base entries and the sorted ids together: base
    pieces between two ids are pushed as they are, each id's new value is
    checked and pushed as a one-id piece, and [push] clamps, drops zeros
-   and coalesces exactly as [of_entries] does on [of_dense]'s runs. *)
+   and coalesces exactly as [of_entries] does on [of_dense]'s runs.  An
+   id cuts at most one entry in three, so the output has at most
+   |t| + 2·|ids| entries. *)
 let overlay t ~ids ~values =
   let m = Array.length ids in
   if Array.length values <> m then
     invalid_arg "Sim_list.overlay: ids and values differ in length";
-  let max = t.max in
-  let tolerance = float_tolerance *. Float.max 1. (Float.abs max) in
-  let point k pos acc =
-    let id = ids.(k) and v = values.(k) in
+  let max = t.max and n = length t in
+  let tol = tolerance max in
+  let o = buf (n + (2 * m)) in
+  let point k pos =
+    let id = ids.(k) in
     if id < pos then invalid_arg "Sim_list.overlay: ids not ascending";
-    if v > max +. tolerance then
-      invalid_arg
-        (Printf.sprintf "Sim_list.of_entries: actual %g exceeds max %g" v max);
-    push ~max id id v acc
+    if values.(k) > max +. tol then exceeds values.(k) max;
+    push o ~max id id values.(k)
   in
   (* ids below [pos] are emitted; [k] is the next id to overwrite *)
-  let rec go k pos entries acc =
-    match entries with
-    | [] -> if k = m then acc else go (k + 1) (ids.(k) + 1) [] (point k pos acc)
-    | (iv, v) :: tl ->
-        let lo = Int.max pos (Interval.lo iv) and hi = Interval.hi iv in
-        if lo > hi then go k pos tl acc
-        else if k < m && ids.(k) <= hi then
-          let id = ids.(k) in
-          go (k + 1) (id + 1) entries
-            (point k pos (push ~max lo (id - 1) v acc))
-        else go k (hi + 1) tl (push ~max lo hi v acc)
+  let rec go k pos i =
+    if i >= n then begin
+      if k < m then begin
+        point k pos;
+        go (k + 1) (ids.(k) + 1) i
+      end
+    end
+    else
+      let lo = Int.max pos (lo t i) and hi = hi t i in
+      if lo > hi then go k pos (i + 1)
+      else if k < m && ids.(k) <= hi then begin
+        let id = ids.(k) in
+        push o ~max lo (id - 1) t.vals.(i);
+        point k pos;
+        go (k + 1) (id + 1) i
+      end
+      else begin
+        push o ~max lo hi t.vals.(i);
+        go k (hi + 1) (i + 1)
+      end
   in
-  finish ~max (go 0 1 t.entries [])
+  go 0 1 0;
+  finish ~max o

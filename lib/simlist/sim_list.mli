@@ -12,7 +12,13 @@
     adjacent intervals carrying the same value.  Every operation below
     reads its canonical inputs in one left-to-right pass and builds
     canonical output as it goes, with no re-sort and no second
-    normalisation pass. *)
+    normalisation pass.
+
+    The entries are packed into flat arrays trimmed to their count —
+    the bounds as interleaved ints, the values as unboxed floats — so a
+    list of n entries keeps 3n + 8 words resident ({!words}).  Each
+    operation fills an output buffer of its own; none is shared between
+    calls, so concurrent threads may run any of them. *)
 
 type t
 
@@ -20,6 +26,33 @@ type entry = Interval.t * float
 
 val empty : max:float -> t
 (** No segment has non-zero similarity. *)
+
+(** {1 Reading entries by index}
+
+    Entry [i] (from 0, in id order) covers [[lo t i, hi t i]] at
+    [value t i].  The hot consumers (top-k, the encoders, the SQL
+    loader) scan these instead of building an {!entries} list.
+    @raise Invalid_argument when [i] is not below {!length}. *)
+
+val lo : t -> int -> int
+val hi : t -> int -> int
+val value : t -> int -> float
+
+val ranks_above : t -> int -> lo:int -> t -> int -> lo:int -> bool
+(** [ranks_above a i ~lo:alo b j ~lo:blo]: entry [i] of [a], taken to
+    start at [alo], ranks above entry [j] of [b], taken to start at
+    [blo] — a larger value, or an equal one that starts earlier.  The
+    top-k ranking, read in place: a caller comparing many entries boxes
+    no float. *)
+
+val next_above : t -> off:int -> from:int -> t -> int -> lo:int -> int
+(** [next_above t ~off ~from u j ~lo]: the first index [i >= from]
+    whose entry, its start shifted by [off], {!ranks_above} entry [j]
+    of [u] starting at [lo], or [length t] when none does.  The filter
+    of a top-k scan, as one loop over the packed arrays. *)
+
+val words : t -> int
+(** Words the list keeps resident: [3 * length t + 8]. *)
 
 val of_entries : max:float -> entry list -> t
 (** Builds a canonical list: drops non-positive values, clamps values
@@ -31,10 +64,13 @@ val of_entries : max:float -> entry list -> t
     exceeds [max] (beyond float tolerance), or if [max < 0]. *)
 
 val entries : t -> entry list
+(** The boundary form for tests, workload builders and printing; the
+    served path reads entries by index. *)
+
 val max_sim : t -> float
 
 val length : t -> int
-(** Number of entries (the paper's [length(L)]). *)
+(** Number of entries (the paper's [length(L)]).  O(1). *)
 
 val is_empty : t -> bool
 
@@ -42,7 +78,7 @@ val covered : t -> int
 (** Total number of ids with non-zero similarity. *)
 
 val value_at : t -> int -> float
-(** Actual similarity at an id (0 when absent). *)
+(** Actual similarity at an id (0 when absent).  A binary search. *)
 
 val sim_at : t -> int -> Sim.t
 
@@ -136,7 +172,8 @@ val concat : (t * int) list -> t
 val concat_length : (t * int) list -> int
 (** [length (concat parts)] by the same boundary walk, without building
     the list: the sum of the lengths minus one per coalescing boundary.
-    O(m) pointer walk, no allocation per entry.
+    O(number of lists): it reads only each list's length, first and last
+    entry.
     @raise Invalid_argument as {!concat}. *)
 
 (** {1 Dense conversions (testing and the reference evaluator)} *)

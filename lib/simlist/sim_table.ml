@@ -55,6 +55,12 @@ let max_sim t = t.max
 let rows t = t.rows
 let row_count t = t.count
 
+(* the row record (4 words) and a cons cell and pair (6) per binding *)
+let row_words r = 4 + (6 * (List.length r.objs + List.length r.attrs))
+
+let words t =
+  List.fold_left (fun n r -> n + row_words r + Sim_list.words r.list) 0 t.rows
+
 (* Merge two sorted association lists; [combine] decides what happens when
    both bind a key ([None] aborts the whole unification). *)
 let unify_assoc combine xs ys =

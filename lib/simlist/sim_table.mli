@@ -41,6 +41,12 @@ val max_sim : t -> float
 val rows : t -> row list
 val row_count : t -> int
 
+val words : t -> int
+(** Words the table's rows keep resident: per row, its list's
+    {!Sim_list.words} ([3 * length + 8]), 4 for the row record and 6
+    per binding (its cons cell and pair; the variable names and range
+    payloads are not counted).  O(rows + bindings). *)
+
 val join :
   combine:(Sim_list.t -> Sim_list.t -> Sim_list.t) ->
   t ->

@@ -144,15 +144,13 @@ let store_of_sexp = function
 let sim_list_to_sexp l =
   field "simlist"
     (field "max" [ float (Simlist.Sim_list.max_sim l) ]
-    :: List.map
-         (fun (iv, v) ->
+    :: List.init (Simlist.Sim_list.length l) (fun i ->
            list
              [
-               int (Simlist.Interval.lo iv);
-               int (Simlist.Interval.hi iv);
-               float v;
-             ])
-         (Simlist.Sim_list.entries l))
+               int (Simlist.Sim_list.lo l i);
+               int (Simlist.Sim_list.hi l i);
+               float (Simlist.Sim_list.value l i);
+             ]))
 
 let sim_list_of_sexp = function
   | List (Atom "simlist" :: List [ Atom "max"; m ] :: entries) ->

@@ -462,6 +462,88 @@ let counter_tests =
           (Query.run_string ctx q_train));
   ]
 
+(* --- resident words ------------------------------------------------------------- *)
+
+type cache_op =
+  | Add of int * int * int  (* key, entries, bindings *)
+  | Probe of int
+  | Drop of int  (* probe at a newer version that invalidates *)
+  | Clear
+
+let gen_cache_ops =
+  let open QCheck.Gen in
+  let key = int_bound 5 in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (6, map3 (fun k n b -> Add (k, n, b)) key (int_bound 20) (int_bound 2));
+         (3, map (fun k -> Probe k) key);
+         (2, map (fun k -> Drop k) key);
+         (1, return Clear);
+       ])
+
+let print_cache_op = function
+  | Add (k, n, b) -> Printf.sprintf "add %d (%d entries, %d bindings)" k n b
+  | Probe k -> Printf.sprintf "probe %d" k
+  | Drop k -> Printf.sprintf "drop %d" k
+  | Clear -> "clear"
+
+(* a table of [b] one-binding rows, each with an [n]-entry list *)
+let sized_table n b =
+  let list =
+    Sim_list.of_entries ~max:1.
+      (List.init n (fun i -> (Simlist.Interval.point (2 * i + 1), 1.)))
+  in
+  if b = 0 then Sim_table.of_sim_list list
+  else
+    Sim_table.create ~obj_cols:[ "x" ] ~attr_cols:[] ~max:1.
+      (List.init b (fun i -> { Sim_table.objs = [ ("x", i) ]; attrs = []; list }))
+
+let words_tests =
+  [
+    Helpers.qtest ~count:200 "the words gauge is the sum over live entries"
+      (fun ops ->
+        let c = Cache.create ~capacity:3 () in
+        let extents = Simlist.Extent.single 64 in
+        let key i = Cache.key ~formula:i ~level:1 ~extents ~domains:[] in
+        let version = ref 0 in
+        let live_words () =
+          List.fold_left
+            (fun n i ->
+              match
+                Cache.find c (key i) ~version:!version
+                  ~valid:(fun ~stamp:_ -> true)
+              with
+              | Cache.Hit t | Cache.Survived t -> n + Sim_table.words t
+              | Cache.Stale | Cache.Absent -> n)
+            0 (List.init 6 Fun.id)
+        in
+        List.for_all
+          (fun op ->
+            (match op with
+            | Add (k, n, b) -> Cache.add c (key k) ~version:!version (sized_table n b)
+            | Probe k ->
+                ignore
+                  (Cache.find c (key k) ~version:!version
+                     ~valid:(fun ~stamp:_ -> true))
+            | Drop k ->
+                incr version;
+                ignore
+                  (Cache.find c (key k) ~version:!version
+                     ~valid:(fun ~stamp:_ -> false))
+            | Clear -> Cache.clear c);
+            let gauge = (Cache.stats c).Cache.words in
+            gauge = live_words ())
+          ops)
+      (QCheck.make ~print:(QCheck.Print.list print_cache_op) gen_cache_ops);
+    Alcotest.test_case "a table's words: 3 per list entry, fixed costs per row"
+      `Quick (fun () ->
+        Alcotest.(check int) "closed table" (4 + (3 * 5) + 8)
+          (Sim_table.words (sized_table 5 0));
+        Alcotest.(check int) "two one-binding rows" (2 * (4 + 6 + (3 * 5) + 8))
+          (Sim_table.words (sized_table 5 2)));
+  ]
+
 let suites =
   [
     ("cache.hcons", hcons_tests);
@@ -470,4 +552,5 @@ let suites =
     ("cache.eviction", eviction_tests);
     ("cache.survival", survival_tests);
     ("cache.counters", counter_tests);
+    ("cache.words", words_tests);
   ]

@@ -798,6 +798,29 @@ let tracing_tests =
         | Some (Json.Array rows') ->
             check int "route row count" (List.length rows) (List.length rows')
         | _ -> fail "/stats has no queries array");
+    test_case "/metrics and /stats report the cache's resident words" `Quick
+      (fun () ->
+        let s = Router.make (Context.of_store (Workload.Casablanca.store ())) in
+        ignore
+          (check_status "query" 200
+             (handle s (post "/query" "{\"query\": \"man_woman\"}")));
+        let words =
+          match Engine.Context.cache (Router.context s) with
+          | Some c -> (Engine.Cache.stats c).Engine.Cache.words
+          | None -> fail "no cache"
+        in
+        check bool "the query filled the cache" true (words > 0);
+        let exposition =
+          (check_status "metrics" 200 (handle s (get "/metrics"))).Http.body
+        in
+        check bool "cache_words gauge" true
+          (Astring.String.is_infix
+             ~affix:(Printf.sprintf "cache_words %d" words)
+             exposition);
+        let doc = body_json "stats" (check_status "stats" 200 (handle s (get "/stats"))) in
+        match Option.bind (Json.member "cache" doc) (Json.member "words") with
+        | Some (Json.Int w) -> check int "/stats cache.words" words w
+        | _ -> fail "/stats has no cache.words");
     test_case "trace ids land on slow-query records" `Quick (fun () ->
         let querylog = Obs.Querylog.create ~threshold_s:0. () in
         let s = Router.make ~querylog (Workload.Casablanca.context ()) in

@@ -693,6 +693,188 @@ let kernel_tests =
             true (per_entry <= 100.));
     ]
 
+(* --- Sim_list: the packed layout ------------------------------------- *)
+
+(* Every kernel's output keeps at most 3 words per entry plus a fixed 8
+   (record, boxed maximum, two array headers): no slack left in the
+   arrays, no boxed float per entry. *)
+let within_words l =
+  Obj.reachable_words (Obj.repr l) <= (3 * Sim_list.length l) + 8
+  && Sim_list.words l = (3 * Sim_list.length l) + 8
+
+let layout_tests =
+  [
+    qtest "every kernel's output keeps at most 3n + 8 words"
+      (fun (c, threshold) ->
+        let a = list_a c and b = list_b c in
+        (* a and b under one maximum, for the kernels that need it *)
+        let m = Float.max c.max_a c.max_b in
+        let a' = Sim_list.scale_max a ~max:m and b' = Sim_list.scale_max b ~max:m in
+        let ids =
+          Array.of_list
+            (List.filter (fun id -> id mod 3 = 0) (List.init c.n (fun i -> i + 1)))
+        in
+        List.for_all within_words
+          (List.map (fun (_, mode) -> Sim_list.conjunction_mode mode a b) conj_modes
+          @ [
+              a;
+              Sim_list.until_merge ~threshold ~extents:c.extents a b;
+              Sim_list.eventually ~extents:c.extents a;
+              Sim_list.next_shift ~extents:c.extents a;
+              Sim_list.merge_max [ a'; b' ];
+              Sim_list.restrict a (List.map fst c.raw_b);
+              Sim_list.concat [ (a', 0); (b', c.n) ];
+              Sim_list.concat [ (a', 0); (b', c.n); (a', 2 * c.n) ];
+              Sim_list.overlay a ~ids
+                ~values:
+                  (Array.map
+                     (fun id -> Float.min c.max_a (Sim_list.value_at b id))
+                     ids);
+              Sim_list.of_dense ~max:c.max_a (dense_a c);
+              Sim_list.of_entries ~max:c.max_a (shuffle_list c.n c.raw_a);
+            ]))
+      (QCheck.pair (arb_kernel_case ()) (QCheck.oneofl [ 0.25; 0.5; 1.0 ]));
+    Alcotest.test_case "reading by index agrees with entries" `Quick
+      (fun () ->
+        let l = sl ~max:4. [ (2, 3, 1.); (5, 5, 4.); (6, 9, 2.) ] in
+        Alcotest.(check int) "length" 3 (Sim_list.length l);
+        List.iteri
+          (fun i (iv, v) ->
+            Alcotest.(check int) "lo" (Interval.lo iv) (Sim_list.lo l i);
+            Alcotest.(check int) "hi" (Interval.hi iv) (Sim_list.hi l i);
+            Alcotest.(check (float 0.)) "value" v (Sim_list.value l i))
+          (Sim_list.entries l);
+        Alcotest.(check (list (float 0.)))
+          "value_at by binary search"
+          [ 0.; 1.; 1.; 0.; 4.; 2.; 2.; 0. ]
+          (List.map (Sim_list.value_at l) [ 1; 2; 3; 4; 5; 6; 9; 10 ]));
+  ]
+
+(* --- Sim_list: the sharded gather ------------------------------------- *)
+
+(* Shard lists with heavy ties: values from {1, 2} on ids local to each
+   shard, shards often empty (first and last included), so equal values
+   abut across boundaries and the top k cuts through runs of ties. *)
+let gen_gather =
+  let open QCheck.Gen in
+  let part len =
+    let piece = triple (int_range 0 1) (int_range 1 3) (int_range 1 2) in
+    map
+      (fun pieces ->
+        let rec go pos acc = function
+          | [] -> List.rev acc
+          | (gap, run, v) :: tl ->
+              let lo = pos + gap in
+              let hi = lo + run - 1 in
+              if hi > len then List.rev acc
+              else go (hi + 1) ((iv lo hi, float_of_int v) :: acc) tl
+        in
+        Sim_list.of_entries ~max:2. (go 1 [] pieces))
+      (frequency [ (1, return []); (3, list_size (int_range 0 8) piece) ])
+  in
+  list_size (int_range 1 5) (int_range 1 10) >>= fun lens ->
+  flatten_l (List.map part lens) >>= fun lists ->
+  let offsets =
+    List.rev (snd (List.fold_left (fun (o, acc) n -> (o + n, o :: acc)) (0, []) lens))
+  in
+  return (List.combine lists offsets)
+
+let print_parts parts =
+  String.concat " | "
+    (List.map
+       (fun (l, off) -> Format.asprintf "+%d %a" off Sim_list.pp l)
+       parts)
+
+(* the gather's oracle: the shifted entries, concatenated, through the
+   boundary API *)
+let gathered parts =
+  Sim_list.of_entries ~max:2.
+    (List.concat_map
+       (fun (l, off) ->
+         List.map (fun (i, v) -> (Interval.shift off i, v)) (Sim_list.entries l))
+       parts)
+
+(* the k best ids by (value desc, id asc), one id at a time *)
+let dense_top_k l ~k =
+  let ids =
+    List.concat_map
+      (fun (i, v) -> List.init (Interval.length i) (fun j -> (Interval.lo i + j, v)))
+      (Sim_list.entries l)
+  in
+  let ranked =
+    List.stable_sort (fun (i1, v1) (i2, v2) ->
+        match Float.compare v2 v1 with 0 -> Int.compare i1 i2 | c -> c) ids
+  in
+  List.filteri (fun i _ -> i < k) ranked
+
+let gather_tests =
+  [
+    qtest "concat, concat_length and merged_top_k equal the gathered list"
+      (fun parts ->
+        let whole = gathered parts in
+        let m = Sim_list.length whole in
+        Sim_list.equal whole (Sim_list.concat parts)
+        && Sim_list.concat_length parts = m
+        && List.for_all
+             (fun k ->
+               k < 0
+               || List.map
+                    (fun (id, s) -> (id, Sim.actual s))
+                    (Engine.Topk.merged_top_k parts ~k)
+                  = dense_top_k whole ~k)
+             [ 0; 1; m - 1; m; m + 5 ])
+      (QCheck.make ~print:print_parts gen_gather);
+  ]
+
+(* --- Sim_list: kernels under preempting threads -------------------------- *)
+
+(* The server's workers are systhreads on one domain and preempt each
+   other inside kernels; a buffer shared between calls would mix two
+   results.  Four threads run every kernel over the same inputs many
+   times and must each get exactly the sequential answers. *)
+let thread_tests =
+  [
+    Alcotest.test_case "4 threads on one domain get the sequential results"
+      `Quick (fun () ->
+        let rng = Workload.Rng.make 7 in
+        let mk () = Workload.Synthetic.similarity_list rng ~n:2_000_000 () in
+        let a = mk () and b = mk () in
+        let extents = Extent.of_lengths (List.init 20 (fun _ -> 100_000)) in
+        let kernels =
+          [
+            (fun () -> Sim_list.conjunction a b);
+            (fun () -> Sim_list.conjunction_mode Sim_list.Min_fraction a b);
+            (fun () -> Sim_list.merge_max [ a; b ]);
+            (fun () -> Sim_list.until_merge ~extents a b);
+            (fun () -> Sim_list.eventually ~extents b);
+            (fun () -> Sim_list.next_shift ~extents a);
+            (fun () -> Sim_list.concat [ (a, 0); (b, 2_000_000) ]);
+            (fun () ->
+              Sim_list.overlay a ~ids:(Array.init 1000 (fun i -> (i * 1500) + 1))
+                ~values:(Array.make 1000 5.));
+          ]
+        in
+        let expected = List.map (fun k -> k ()) kernels in
+        let mismatches = Atomic.make 0 in
+        (* the runtime preempts a thread on its 50 ms tick: run for 0.6 s
+           (at least two rounds), so a dozen ticks land inside kernels *)
+        let until = Unix.gettimeofday () +. 0.6 in
+        let worker () =
+          let round = ref 0 in
+          while !round < 2 || Unix.gettimeofday () < until do
+            incr round;
+            (* each thread starts the kernels at a different phase *)
+            List.iteri
+              (fun i (k, want) ->
+                if (i + !round) mod 2 = 0 then Thread.yield ();
+                if not (Sim_list.equal (k ()) want) then Atomic.incr mismatches)
+              (List.combine kernels expected)
+          done
+        in
+        List.iter Thread.join (List.init 4 (fun _ -> Thread.create worker ()));
+        Alcotest.(check int) "results that differ" 0 (Atomic.get mismatches));
+  ]
+
 (* --- Range ------------------------------------------------------------- *)
 
 let range_tests =
@@ -1175,6 +1357,9 @@ let suites =
     ("sim_list.until", until_tests);
     ("sim_list.merge", merge_tests);
     ("sim_list.kernels", kernel_tests);
+    ("sim_list.layout", layout_tests);
+    ("sim_list.gather", gather_tests);
+    ("sim_list.threads", thread_tests);
     ("range", range_tests);
     ("sim_table", table_tests);
     ("sim_table.freeze", freeze_tests);
