@@ -163,6 +163,11 @@ let rec eval (ctx : Context.t) f =
             let table = eval_raw ctx f in
             Context.add_attr ctx "rows" (fun () ->
                 string_of_int (Sim_table.row_count table));
+            Context.add_attr ctx "entries" (fun () ->
+                string_of_int
+                  (List.fold_left
+                     (fun n (r : Sim_table.row) -> n + Sim_list.length r.list)
+                     0 (Sim_table.rows table)));
             table)
       in
       Context.cache_add ctx stamp table;
@@ -240,9 +245,17 @@ and eval_raw (ctx : Context.t) f =
     | Not _ -> unsupported "negation has no similarity semantics"
     | Atom _ -> assert false (* atoms are non-temporal *)
 
-let eval_closed ctx f =
-  let rec strip = function
-    | Exists (_, g) -> strip g
-    | g -> g
+(* The ∃-prefix rule: a leading [exists] is stripped only while it
+   scopes over a temporal or level body, whose open table (one row per
+   binding) is what §3.2 projects.  A closed non-temporal unit such as
+   [exists z . name(z) = "Ilsa"] stays whole: it is one atomic unit,
+   resolved and cached under its own id. *)
+let split_prefix f =
+  let rec go vars = function
+    | Exists (x, g) when not (is_non_temporal g) -> go (x :: vars) g
+    | g -> (List.rev vars, g)
   in
-  Sim_table.project_exists (eval ctx (strip f))
+  go [] f
+
+let eval_closed ctx f =
+  Sim_table.project_exists (eval ctx (snd (split_prefix f)))

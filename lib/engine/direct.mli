@@ -15,8 +15,20 @@ val eval : Context.t -> Htl.Ast.t -> Simlist.Sim_table.t
 (** Evaluate a (possibly open) conjunctive-fragment formula at the
     context's level. *)
 
+val split_prefix : Htl.Ast.t -> string list * Htl.Ast.t
+(** The leading existential binders and the body under them, stripped
+    only while they scope over a temporal or level body: a closed
+    non-temporal unit such as [exists z . name(z) = "Ilsa"] is returned
+    whole, with no binders.  The one ∃-prefix rule: {!eval_closed}, the
+    SQL backend and EXPLAIN all split with it. *)
+
 val eval_closed : Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
-(** Strip the existential prefix, evaluate the body, project. *)
+(** Evaluate a closed formula of any supported class, type (1)
+    included: split off the prefix ({!split_prefix}), evaluate the body
+    and project its table onto a similarity list.  On a type (1) formula
+    nothing is stripped, so this is [project_exists (eval ctx f)]: the
+    §3.1 list algorithms are the table algorithms on closed one-row
+    tables. *)
 
 val value_table :
   Context.t -> attr:string -> obj:string option -> Simlist.Value_table.t
@@ -34,6 +46,14 @@ val freeze :
 (** {!Simlist.Sim_table.freeze_join}, recording [value_rows] and
     [visited] (the value rows the join read) on the enclosing span.
     Shared with the SQL backend. *)
+
+val map_lists :
+  (Simlist.Sim_list.t -> Simlist.Sim_list.t) ->
+  Simlist.Sim_table.t ->
+  Simlist.Sim_table.t
+(** Apply a list operator ([next], [eventually], a level lift) to every
+    row, dropping rows left empty that bind no attribute range.  Shared
+    with the SQL backend. *)
 
 (** {1 Level-operator plumbing} (shared with the SQL backend) *)
 

@@ -150,21 +150,6 @@ let rec direct_tree (ctx : Context.t) ?take f =
     ~attrs:(structural @ est_attrs ctx f @ span_attrs)
     children
 
-let rec type1_tree (ctx : Context.t) ?take f =
-  let timing, span_attrs = observed take f in
-  let structural, children =
-    if is_non_temporal f then (atom_attrs ctx f, [])
-    else
-      match f with
-      | And (g, h) | Until (g, h) ->
-          ([], [ type1_tree ctx ?take g; type1_tree ctx ?take h ])
-      | Next g | Eventually g -> ([], [ type1_tree ctx ?take g ])
-      | _ -> ([], [])
-  in
-  node (Type1.node_label f) ~timing
-    ~attrs:(structural @ est_attrs ctx f @ span_attrs)
-    children
-
 let rec sql_tree (ctx : Context.t) ?take f =
   let timing, span_attrs = observed take f in
   let structural, children =

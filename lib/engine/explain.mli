@@ -63,10 +63,6 @@ val direct_tree :
     when given, yields each subformula's recorded span — use
     {!span_lookup}. *)
 
-val type1_tree :
-  Context.t -> ?take:lookup -> Htl.Ast.t -> node
-(** Mirror of {!Type1.eval}'s dispatch. *)
-
 val sql_tree :
   Context.t -> ?take:lookup -> Htl.Ast.t -> node
 (** Mirror of the SQL translation's dispatch. *)

@@ -102,7 +102,7 @@ let build ?stats ?index ?(scan_threshold = default_scan_threshold) ~tables
     e
   in
   (* estimate for a whole non-temporal unit — the granularity at which
-     [Direct.eval_raw]/[Type1.eval] hand off to [Atomic.resolve];
+     [Direct.eval_raw] hands off to [Atomic.resolve];
      [locals] are the object variables bound by enclosing existential
      binders, so open atoms of a stripped quantifier chain estimate
      from their postings instead of degenerating to empty *)

@@ -49,13 +49,15 @@ let ensure_plan (ctx : Context.t) f =
 
 (* [Auto_backend] resolution: the plan's backend choice (observed
    latency EWMAs when both backends have run this fingerprint, static
-   cost estimates otherwise); direct when planning is off. *)
+   cost estimates otherwise); direct when planning is off or the SQL
+   translation does not implement the context's conjunction mode. *)
 let resolve_backend ~backend (ctx : Context.t) f =
   match backend with
   | (Direct_backend | Sql_backend_choice) as b -> b
   | Auto_backend -> (
       match ctx.plan with
       | None -> Direct_backend
+      | Some _ when not (Sql_backend.supports ctx) -> Direct_backend
       | Some plan -> (
           let choice =
             Planner.choose_backend ?stats:ctx.stats
@@ -65,37 +67,37 @@ let resolve_backend ~backend (ctx : Context.t) f =
           | `Direct -> Direct_backend
           | `Sql -> Sql_backend_choice))
 
+(* [eval] and its arguments are passed apart, so the served direct
+   path allocates no closure *)
+let unsupported_as_error eval ctx f =
+  try eval ctx f with
+  | Sql_backend.Unsupported msg
+  | Atomic.Unsupported msg
+  | Direct.Unsupported msg ->
+      fail "%s" msg
+
+(* The SQL backend's entry for a class: the paper's §4 translation for
+   type (1), the table bookkeeping around SQL list merges otherwise. *)
+let run_sql t ctx cls f =
+  unsupported_as_error
+    (fun ctx f ->
+      match cls with
+      | Htl.Classify.Type1 -> Sql_backend.run t ctx f
+      | Htl.Classify.Type2 | Htl.Classify.Conjunctive
+      | Htl.Classify.Extended_conjunctive ->
+          Sql_backend.run_conjunctive t ctx f
+      | Htl.Classify.General -> general_error f)
+    ctx f
+
+(* Every supported class, type (1) included, evaluates directly through
+   the table algorithms. *)
 let dispatch ~backend ctx cls f =
   let ctx = ensure_plan ctx f in
-  match resolve_backend ~backend ctx f with
-  | Auto_backend -> fail "internal error: unresolved auto backend"
-  | Sql_backend_choice -> (
-      match cls with
-      | Htl.Classify.Type1 -> (
-          try Sql_backend.run (Sql_backend.create ctx) ctx f with
-          | Sql_backend.Unsupported msg | Atomic.Unsupported msg ->
-              fail "%s" msg)
-      | Htl.Classify.Type2 | Htl.Classify.Conjunctive
-      | Htl.Classify.Extended_conjunctive -> (
-          try Sql_backend.run_conjunctive (Sql_backend.create ctx) ctx f with
-          | Sql_backend.Unsupported msg
-          | Atomic.Unsupported msg
-          | Direct.Unsupported msg ->
-              fail "%s" msg)
-      | Htl.Classify.General -> general_error f)
-  | Direct_backend -> (
-      match cls with
-      | Htl.Classify.Type1 -> (
-          try Type1.eval ctx f with
-          | Type1.Unsupported msg | Atomic.Unsupported msg -> fail "%s" msg)
-      | Htl.Classify.Type2 | Htl.Classify.Conjunctive
-      | Htl.Classify.Extended_conjunctive -> (
-          try Direct.eval_closed ctx f with
-          | Direct.Unsupported msg
-          | Atomic.Unsupported msg
-          | Reference.Unsupported msg ->
-              fail "%s" msg)
-      | Htl.Classify.General -> general_error f)
+  match (resolve_backend ~backend ctx f, cls) with
+  | Auto_backend, _ -> fail "internal error: unresolved auto backend"
+  | _, Htl.Classify.General -> general_error f
+  | Sql_backend_choice, _ -> run_sql (Sql_backend.create ctx) ctx cls f
+  | Direct_backend, _ -> unsupported_as_error Direct.eval_closed ctx f
 
 let scan_prefix = "picture.segments_scanned"
 
@@ -287,6 +289,10 @@ let explain ?(backend = Direct_backend) ?(analyze = false) ctx f =
          observed latency EWMAs once both have run) *)
       let backend_reason =
         match (requested, ctx.Context.plan) with
+        | Auto_backend, Some _ when not (Sql_backend.supports ctx) ->
+            Some
+              "auto chose direct: the SQL translation implements the \
+               weighted-sum conjunction only"
         | Auto_backend, Some plan ->
             let c =
               Planner.choose_backend ?stats:ctx.Context.stats
@@ -300,12 +306,9 @@ let explain ?(backend = Direct_backend) ?(analyze = false) ctx f =
       in
       (* the table-algorithm entry points (Direct.eval_closed and
          Sql_backend.run_conjunctive) strip the leading existential
-         prefix before evaluating — the tree mirrors that, carrying the
-         stripped binders as a root attribute so they stay visible *)
-      let rec strip_prefix vars = function
-        | Htl.Ast.Exists (x, g) -> strip_prefix (x :: vars) g
-        | g -> (List.rev vars, g)
-      in
+         prefix by Direct.split_prefix before evaluating — the tree
+         mirrors that, carrying the stripped binders as a root attribute
+         so they stay visible *)
       let with_prefix vars (tree : Explain.node) =
         match vars with
         | [] -> tree
@@ -317,16 +320,11 @@ let explain ?(backend = Direct_backend) ?(analyze = false) ctx f =
             }
       in
       let tree_of ?take ctx =
-        match (backend, cls) with
-        | (Direct_backend | Auto_backend), Htl.Classify.Type1 ->
-            Explain.type1_tree ctx ?take f
-        | Sql_backend_choice, Htl.Classify.Type1 -> Explain.sql_tree ctx ?take f
-        | (Direct_backend | Auto_backend), _ ->
-            let vars, body = strip_prefix [] f in
-            with_prefix vars (Explain.direct_tree ctx ?take body)
-        | Sql_backend_choice, _ ->
-            let vars, body = strip_prefix [] f in
-            with_prefix vars (Explain.sql_tree ctx ?take body)
+        let vars, body = Direct.split_prefix f in
+        with_prefix vars
+          (match backend with
+          | Direct_backend | Auto_backend -> Explain.direct_tree ctx ?take body
+          | Sql_backend_choice -> Explain.sql_tree ctx ?take body)
       in
       let tree, sql_script, total_s, resources =
         if not analyze then (tree_of (Context.without_tracer ctx), [], None, None)
@@ -342,18 +340,7 @@ let explain ?(backend = Direct_backend) ?(analyze = false) ctx f =
                     []
                 | Sql_backend_choice ->
                     let t = Sql_backend.create ctx in
-                    (try
-                       match cls with
-                       | Htl.Classify.Type1 -> ignore (Sql_backend.run t ctx f)
-                       | Htl.Classify.Type2 | Htl.Classify.Conjunctive
-                       | Htl.Classify.Extended_conjunctive ->
-                           ignore (Sql_backend.run_conjunctive t ctx f)
-                       | Htl.Classify.General -> general_error f
-                     with
-                    | Sql_backend.Unsupported msg
-                    | Atomic.Unsupported msg
-                    | Direct.Unsupported msg ->
-                        fail "%s" msg);
+                    ignore (run_sql t ctx cls f);
                     Explain.script_nodes (Sql_backend.last_script t))
           in
           let total = Obs.Clock.now () -. t0 in

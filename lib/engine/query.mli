@@ -64,10 +64,11 @@ val envelope :
 val run :
   ?backend:backend -> Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
 (** Evaluate a closed formula of any supported class over the context's
-    level.  The SQL backend supports type (1) only (as benchmarked in
-    §4.2); the direct backend dispatches type (1) formulas to the list
-    algorithms and everything up to extended conjunctive to the table
-    algorithms.
+    level.  The direct backend runs every class, type (1) included,
+    through the table algorithms ({!Direct.eval_closed}).  The SQL
+    backend runs the paper's §4 translation on type (1) formulas and
+    SQL list merges under the table bookkeeping otherwise, under the
+    weighted-sum conjunction only ({!Sql_backend.supports}).
     @raise Error on general formulas, open formulas, or backend
     limitations — the message says which. *)
 

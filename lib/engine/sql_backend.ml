@@ -250,7 +250,19 @@ let cleanup t =
   List.iter (fun name -> Catalog.drop t.db name) t.temps;
   t.temps <- []
 
+(* [sql_and] sums: the paper's weighted-sum conjunction is the only
+   mode the translation implements, for type (1) and conjunctive
+   formulas alike *)
+let supports (ctx : Context.t) = ctx.conj_mode = Sim_list.Weighted_sum
+
+let require_supported ctx =
+  if not (supports ctx) then
+    unsupported
+      "the SQL translation implements the paper's weighted-sum conjunction \
+       only"
+
 let run t ctx f =
+  require_supported ctx;
   t.script <- [];
   let final = translate t ctx f in
   let list =
@@ -286,21 +298,7 @@ let sql_map_list t kind l =
   let out = match kind with `Next -> sql_next t u | `Eventually -> sql_eventually t u in
   read_back t out ~max:(Sim_list.max_sim l)
 
-let map_rows f table =
-  Sim_table.create
-    ~obj_cols:(Sim_table.obj_cols table)
-    ~attr_cols:(Sim_table.attr_cols table)
-    ~max:(Sim_table.max_sim table)
-    (List.filter_map
-       (fun (r : Sim_table.row) ->
-         let list = f r.list in
-         if Sim_list.is_empty list && r.attrs = [] then None
-         else Some { r with list })
-       (Sim_table.rows table))
-
-let rec create_for ctx = create ctx
-
-and eval_conjunctive t (ctx : Context.t) f =
+let rec eval_conjunctive t (ctx : Context.t) f =
   Context.with_span ctx (sql_label f) ~attrs:(span_attrs ctx f) (fun () ->
       eval_conjunctive_raw t ctx f)
 
@@ -316,9 +314,10 @@ and eval_conjunctive_raw t (ctx : Context.t) f =
         Sim_table.join
           ~combine:(sql_combine_lists t (`Until ctx.threshold))
           (eval_conjunctive t ctx g) (eval_conjunctive t ctx h)
-    | Next g -> map_rows (fun l -> sql_map_list t `Next l) (eval_conjunctive t ctx g)
+    | Next g ->
+        Direct.map_lists (sql_map_list t `Next) (eval_conjunctive t ctx g)
     | Eventually g ->
-        map_rows (fun l -> sql_map_list t `Eventually l) (eval_conjunctive t ctx g)
+        Direct.map_lists (sql_map_list t `Eventually) (eval_conjunctive t ctx g)
     | Exists (x, g) ->
         Sim_table.project_obj_var
           (eval_conjunctive t (Context.shadow_obj_var ctx x) g)
@@ -347,23 +346,23 @@ and eval_conjunctive_raw t (ctx : Context.t) f =
         | exception Direct.Unsupported msg -> unsupported "%s" msg
         | target, spans, extents ->
             let ctx' = Context.with_level ctx ~level:target ~extents in
-            let t' = create_for ctx' in
+            let t' = create ctx' in
             let inner = eval_conjunctive t' ctx' g in
             t.script <- List.rev_append (List.rev t'.script) t.script;
             cleanup t';
-            map_rows (Direct.lift_to_parents spans) inner)
+            Direct.map_lists (Direct.lift_to_parents spans) inner)
     | Or _ | Not _ ->
         unsupported "the SQL translation has no semantics for %s"
           (Htl.Pretty.to_string f)
     | Atom _ -> assert false
 
-let run_conjunctive t (ctx : Context.t) f =
-  if ctx.conj_mode <> Simlist.Sim_list.Weighted_sum then
-    unsupported "the SQL translation implements the paper's weighted-sum \
-                 conjunction only";
+let run_conjunctive t ctx f =
+  require_supported ctx;
   t.script <- [];
-  let rec strip = function Exists (_, g) -> strip g | g -> g in
-  let result = Sim_table.project_exists (eval_conjunctive t ctx (strip f)) in
+  let result =
+    Sim_table.project_exists
+      (eval_conjunctive t ctx (snd (Direct.split_prefix f)))
+  in
   Context.metric_incr ctx ~by:(List.length t.script) "sql.statements";
   cleanup t;
   result

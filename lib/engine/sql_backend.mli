@@ -18,10 +18,16 @@ val create : Context.t -> t
 (** Builds the sequence table [seq(id, elo, ehi)] from the context's
     extents. *)
 
+val supports : Context.t -> bool
+(** Whether the translation implements the context's conjunction mode:
+    only the paper's weighted sum.  {!run} and {!run_conjunctive} refuse
+    any other mode, and [Auto_backend] never picks SQL under one. *)
+
 val run : t -> Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
 (** Translate and execute a type (1) formula; returns the final
     similarity list.  Temporary tables are dropped afterwards.
-    @raise Unsupported on non-type (1) formulas. *)
+    @raise Unsupported on non-type (1) formulas or a conjunction mode
+    other than the weighted sum. *)
 
 val run_conjunctive : t -> Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
 (** §3.2/§3.3 through SQL, like the paper's system ("uses translations
@@ -29,8 +35,9 @@ val run_conjunctive : t -> Context.t -> Htl.Ast.t -> Simlist.Sim_list.t
     formula"): the variable-binding bookkeeping (table rows, joins on
     shared variables, freeze value tables) follows the direct structure,
     while every similarity-list combination executes as a sequence of SQL
-    statements.  Covers type (2), conjunctive and extended-conjunctive
-    formulas under the weighted-sum semantics (a level operator's body
+    statements.  The existential prefix is split off by
+    {!Direct.split_prefix}.  Covers type (2), conjunctive and
+    extended-conjunctive formulas under the weighted-sum semantics (a level operator's body
     gets its own sequence table for the target level's id space).
     @raise Unsupported on negation/disjunction or non-default conjunction
     modes. *)

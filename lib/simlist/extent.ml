@@ -36,12 +36,12 @@ let of_spans spans =
 let total t = t.total
 let count t = Array.length t.starts
 
-let span_at t k =
-  let lo = t.starts.(k) in
-  let hi =
-    if k + 1 < Array.length t.starts then t.starts.(k + 1) - 1 else t.total
-  in
-  Interval.make lo hi
+let first_id t k = t.starts.(k)
+
+let last_id t k =
+  if k + 1 < Array.length t.starts then t.starts.(k + 1) - 1 else t.total
+
+let span_at t k = Interval.make (first_id t k) (last_id t k)
 
 let spans t = List.init (count t) (span_at t)
 
@@ -57,7 +57,7 @@ let index_containing t i =
   !lo
 
 let containing t i = span_at t (index_containing t i)
-let last_of t i = Interval.hi (containing t i)
+let last_of t i = last_id t (index_containing t i)
 
 let equal a b = a.total = b.total && a.starts = b.starts
 

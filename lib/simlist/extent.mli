@@ -36,7 +36,24 @@ val containing : t -> int -> Interval.t
     @raise Invalid_argument if the id is out of range. *)
 
 val last_of : t -> int -> int
-(** [last_of t i] is the last id of the extent containing [i]. *)
+(** [last_of t i] is the last id of the extent containing [i]; allocates
+    nothing. *)
+
+(** {1 By index}
+
+    Extents are numbered [0 .. count - 1] in id order.  These read an
+    extent's bounds without building an {!Interval.t}, for kernels that
+    look one up per list entry. *)
+
+val index_containing : t -> int -> int
+(** The number of the extent containing the given id (binary search).
+    @raise Invalid_argument if the id is out of range. *)
+
+val first_id : t -> int -> int
+(** First id of extent [k]. *)
+
+val last_id : t -> int -> int
+(** Last id of extent [k]. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

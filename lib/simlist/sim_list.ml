@@ -350,10 +350,10 @@ let next_shift ~extents t =
   let o = buf (length t + Extent.count extents) in
   (* entry [i], from [lo] on *)
   let rec piece i lo =
-    let ext = Extent.containing extents lo and hi = hi t i in
-    let ext_hi = Interval.hi ext in
+    let k = Extent.index_containing extents lo and hi = hi t i in
+    let ext_hi = Extent.last_id extents k in
     push o ~max
-      (Int.max (lo - 1) (Interval.lo ext))
+      (Int.max (lo - 1) (Extent.first_id extents k))
       (Int.min hi ext_hi - 1) t.vals.(i);
     if hi > ext_hi then piece i (ext_hi + 1)
   in

@@ -55,11 +55,16 @@ let max_sim t = t.max
 let rows t = t.rows
 let row_count t = t.count
 
-(* the row record (4 words) and a cons cell and pair (6) per binding *)
-let row_words r = 4 + (6 * (List.length r.objs + List.length r.attrs))
+(* the row's cons cell (3 words) and record (4), and a cons cell and
+   pair (6) per binding *)
+let row_words r = 7 + (6 * (List.length r.objs + List.length r.attrs))
 
+(* the record (6 words) and its boxed maximum (2), and a cons cell (3)
+   per column, so a table with no rows still weighs something *)
 let words t =
-  List.fold_left (fun n r -> n + row_words r + Sim_list.words r.list) 0 t.rows
+  8
+  + (3 * (List.length t.obj_cols + List.length t.attr_cols))
+  + List.fold_left (fun n r -> n + row_words r + Sim_list.words r.list) 0 t.rows
 
 (* Merge two sorted association lists; [combine] decides what happens when
    both bind a key ([None] aborts the whole unification). *)

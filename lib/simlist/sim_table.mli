@@ -42,10 +42,12 @@ val rows : t -> row list
 val row_count : t -> int
 
 val words : t -> int
-(** Words the table's rows keep resident: per row, its list's
-    {!Sim_list.words} ([3 * length + 8]), 4 for the row record and 6
-    per binding (its cons cell and pair; the variable names and range
-    payloads are not counted).  O(rows + bindings). *)
+(** Words the table keeps resident: 8 for the table record and its
+    boxed maximum, 3 per column; per row, its list's {!Sim_list.words}
+    ([3 * length + 8]), 7 for the row's cons cell and record and 6 per
+    binding (its cons cell and pair; the variable names and range
+    payloads are not counted).  Positive for every table, empty ones
+    included.  O(columns + rows + bindings). *)
 
 val join :
   combine:(Sim_list.t -> Sim_list.t -> Sim_list.t) ->

@@ -538,10 +538,23 @@ let words_tests =
       (QCheck.make ~print:(QCheck.Print.list print_cache_op) gen_cache_ops);
     Alcotest.test_case "a table's words: 3 per list entry, fixed costs per row"
       `Quick (fun () ->
-        Alcotest.(check int) "closed table" (4 + (3 * 5) + 8)
+        Alcotest.(check int) "closed table" (8 + 7 + (3 * 5) + 8)
           (Sim_table.words (sized_table 5 0));
-        Alcotest.(check int) "two one-binding rows" (2 * (4 + 6 + (3 * 5) + 8))
+        Alcotest.(check int) "two one-binding rows"
+          (8 + 3 + (2 * (7 + 6 + (3 * 5) + 8)))
           (Sim_table.words (sized_table 5 2)));
+    Helpers.qtest ~count:100 "every table weighs more than 0 words, empty ones too"
+      (fun (n, b) ->
+        (* a cached empty result is not free: the cache's word budget
+           counts it like any other entry *)
+        let empty cols =
+          Sim_table.create ~obj_cols:cols ~attr_cols:[] ~max:1. []
+        in
+        List.for_all
+          (fun t -> Sim_table.words t > 0)
+          [ sized_table n b; empty []; empty [ "x" ];
+            Sim_table.of_sim_list (Sim_list.empty ~max:1.) ])
+      QCheck.(pair (int_bound 20) (int_bound 3));
   ]
 
 let suites =

@@ -56,7 +56,7 @@ let casablanca_tests =
         | [] -> fail "no results");
   ]
 
-(* --- type (1) fast path --------------------------------------------------- *)
+(* --- type (1): the table algorithms on closed one-row tables -------------- *)
 
 let type1_tests =
   let open Alcotest in
@@ -258,6 +258,22 @@ let direct_tests =
           (fun (r : Simlist.Value_table.row) ->
             check (list (pair string int)) "bound to train" [ ("x", 4) ] r.objs)
           rows);
+    test_case "the ∃-prefix is split off only above a temporal body" `Quick
+      (fun () ->
+        let split src =
+          let vars, body = Direct.split_prefix (parse src) in
+          (vars, Htl.Pretty.to_string body)
+        in
+        let show src = Htl.Pretty.to_string (parse src) in
+        check (pair (list string) string) "over until"
+          ([ "x"; "y" ], show "present(x) until present(y)")
+          (split "exists x, y . present(x) until present(y)");
+        check (pair (list string) string) "a closed unit stays whole"
+          ([], show "exists z . name(z) = \"Ilsa\"")
+          (split "exists z . name(z) = \"Ilsa\"");
+        check (pair (list string) string) "no prefix"
+          ([], show "p1 and eventually p2")
+          (split "p1 and eventually p2"));
   ]
 
 (* --- SQL backend ----------------------------------------------------------- *)

@@ -106,6 +106,36 @@ let conj_mode_tests =
               oracle engine)
           [ Sim_list.Weighted_sum; Sim_list.Min_fraction; Sim_list.Product_fraction ])
       (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.int);
+    test_case "SQL refuses a mode it does not implement; auto answers direct"
+      `Quick (fun () ->
+        (* the translation sums ([sql_and]): under min-fraction it would
+           answer {max=12; [1,5]:10 [6,8]:8} *)
+        let src = "p1 and eventually p2" in
+        let stats = Obs.Stats.create () in
+        let ctx =
+          Context.of_tables ~conj_mode:Sim_list.Min_fraction ~stats ~n:20
+            (List.map
+               (fun (name, l) -> (name, Simlist.Sim_table.of_sim_list l))
+               two_lists)
+        in
+        (match Query.run_string ~backend:Query.Sql_backend_choice ctx src with
+        | r -> failf "SQL answered %a" Sim_list.pp r
+        | exception Query.Error _ -> ());
+        (* observed latencies that favour SQL must not pick it either *)
+        let fingerprint = Htl.Hcons.intern_id (parse src) in
+        List.iter
+          (fun (backend, latency_s) ->
+            Obs.Stats.record_query stats ~fingerprint
+              ~formula:(fun () -> src)
+              ~backend ~latency_s ~error:false)
+          [ ("direct", 1.); ("sql", 1e-6) ];
+        let direct = Sim_list.of_entries ~max:12. [ (iv 1 5, 6.) ] in
+        check sim_list "direct" direct (Query.run_string ctx src);
+        check sim_list "auto" direct
+          (Query.run_string ~backend:Query.Auto_backend ctx src);
+        check string "auto resolves to direct" "direct"
+          (Query.explain ~backend:Query.Auto_backend ctx (parse src))
+            .Explain.backend);
   ]
 
 let fallback_tests =

@@ -298,19 +298,22 @@ let explain_tests =
         check bool "type (1)" true (r.Explain.cls = Htl.Classify.Type1);
         check bool "not analyzed" false r.Explain.analyzed;
         check (option (float 0.)) "no total" None r.Explain.total_s;
-        check string "root" "type1.and" r.Explain.tree.Explain.label;
+        check string "root" "direct.and" r.Explain.tree.Explain.label;
         check int "two children" 2
           (List.length r.Explain.tree.Explain.children);
         let untimed (n : Explain.node) = n.Explain.timing = Explain.Untimed in
         check bool "every node untimed" true
           (Option.is_none
              (find_node (fun n -> not (untimed n)) r.Explain.tree));
-        (* type (1) folds And pairwise and never reorders, so no node
-           may print a join order *)
-        check bool "no est_join_order" true
+        (* an And chain is one node whose children come in the planned
+           join order; only an analyzed run records that order as an
+           attribute *)
+        check bool "no join order attribute" true
           (Option.is_none
              (find_node
-                (fun n -> List.mem_assoc "est_join_order" n.Explain.attrs)
+                (fun n ->
+                  List.mem_assoc "est_join_order" n.Explain.attrs
+                  || List.mem_assoc "join_order" n.Explain.attrs)
                 r.Explain.tree)));
     test_case "analyzed explain: per-node timings and total" `Quick (fun () ->
         let ctx = Context.without_cache (C.context ()) in
@@ -431,6 +434,41 @@ let explain_tests =
         | exception Query.Error _ ->
             check int "query.errors" 1
               (Obs.Metrics.counter_value m "query.errors"));
+    test_case "analyzed explain: every computed node counts its entries"
+      `Quick (fun () ->
+        let ctx = Context.without_cache (C.context ()) in
+        let r = Query.explain ~analyze:true ctx (parse C.query1) in
+        let rec entries (n : Explain.node) =
+          (match List.assoc_opt "entries" n.Explain.attrs with
+          | Some e -> [ int_of_string e ]
+          | None -> fail (n.Explain.label ^ " has no entries"))
+          @ List.concat_map entries n.Explain.children
+        in
+        (* Query 1's four nodes are closed, so each one's entries are
+           the length of the list it evaluates to *)
+        let lengths =
+          List.map
+            (fun src -> Sim_list.length (Query.run_string ctx src))
+            [ C.query1; "man_woman"; "eventually moving_train"; "moving_train" ]
+        in
+        check (list int) "entries = list lengths"
+          (List.sort compare lengths)
+          (List.sort compare (entries r.Explain.tree)));
+    test_case "a closed atomic unit explains as one atom" `Quick (fun () ->
+        (* the ∃-prefix is stripped only above a temporal body, so this
+           unit is resolved whole, under its own id, and its node
+           carries the planner's estimates *)
+        let ctx = Context.of_store (C.store ()) in
+        let f = parse "exists z . name(z) = \"Ilsa\"" in
+        let root = (Query.explain ctx f).Explain.tree in
+        check string "label" "direct.atom" root.Explain.label;
+        check int "no children" 0 (List.length root.Explain.children);
+        check (option string) "the closed unit"
+          (Some (Htl.Pretty.to_string f))
+          (List.assoc_opt "formula" root.Explain.attrs);
+        check bool "nothing stripped" false
+          (List.mem_assoc "exists_prefix" root.Explain.attrs);
+        check bool "est_rows" true (List.mem_assoc "est_rows" root.Explain.attrs));
   ]
 
 (* --- Json ------------------------------------------------------------------ *)

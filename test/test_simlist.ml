@@ -748,6 +748,24 @@ let layout_tests =
           "value_at by binary search"
           [ 0.; 1.; 1.; 0.; 4.; 2.; 2.; 0. ]
           (List.map (Sim_list.value_at l) [ 1; 2; 3; 4; 5; 6; 9; 10 ]));
+    Alcotest.test_case "next reads extents without allocating per entry"
+      `Quick (fun () ->
+        (* a count, not a timing: the output's arrays are past the minor
+           heap's size limit, so what reaches it per entry is garbage,
+           such as an interval built per extent lookup (3 words) *)
+        let rng = Workload.Rng.make 7 in
+        let n = 400_000 in
+        let a = Workload.Synthetic.similarity_list rng ~n ~selectivity:0.5 () in
+        let extents = Extent.of_lengths (List.init 100 (fun _ -> n / 100)) in
+        let w0 = Gc.minor_words () in
+        let r = Sim_list.next_shift ~extents a in
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool) "40k entries" true (Sim_list.length a >= 35_000);
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f minor words for %d output entries <= 1 each + 1000"
+             words (Sim_list.length r))
+          true
+          (words <= float_of_int (Sim_list.length r + 1000)));
   ]
 
 (* --- Sim_list: the sharded gather ------------------------------------- *)
