@@ -4,21 +4,23 @@
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table5 fig2  # selected sections
-     dune exec bench/main.exe -- --bechamel   # add Bechamel statistics
      dune exec bench/main.exe -- --domains 2 parallel --json out.json
                           # parallel section at one pool size, JSON there
      dune exec bench/main.exe -- --check --baseline BENCH_cache.json
                           # regression gate: exit 1 if timings regressed
 
    --domains N runs the parallel section at pool size N only (default:
-   1, 2, 4, 8); --json FILE redirects the parallel section's JSON report
-   (default BENCH_parallel.json).  The cache, trace and index sections
-   always write BENCH_cache.json / BENCH_trace.json / BENCH_index.json.
+   1, 2, 4, 8); --json FILE redirects the parallel, index and plan
+   sections' JSON report (default BENCH_<section>.json).  The cache and
+   trace sections always write BENCH_cache.json / BENCH_trace.json.
 
    --check --baseline FILE re-runs the section FILE came from, writes
    the fresh report to BENCH_<kind>.fresh.json, and exits 1 when a
-   timing field regressed beyond --tolerance (a relative slack,
-   default 0.5 = 50%).
+   timed field's median regressed beyond --tolerance (a relative
+   slack, default 0.5 = 50%), or when nothing could be compared.
+
+   Every timing comes from one timer, [measure] below.  The served path
+   (HTTP, sharding, ingestion) is measured end to end by bench/e2e.
 
    Absolute times are modern-hardware in-memory numbers; the paper ran on
    1997 SUN workstations with Sybase, so only the *shape* (who wins, how
@@ -30,19 +32,92 @@ module C = Workload.Casablanca
 
 let parse = Htl.Parser.formula_of_string
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* ---- the one timer ------------------------------------------------------------
 
-let best_of k f =
-  let r, t0 = time f in
-  let best = ref t0 in
-  for _ = 2 to k do
-    let _, t = time f in
-    if t < !best then best := t
-  done;
-  (r, !best)
+   Every timed row goes through [measure].  It reads Bechamel's
+   monotonic clock, repeats the operation until one sample spans at
+   least 1 ms (so no reading sits near the clock's resolution), takes
+   [samples] such samples and reduces the per-operation times with the
+   order statistics the end-to-end gate uses (median and quartiles).
+   Words allocated per operation come from [Obs.Resource] over the same
+   batches: minor + major - promoted, since packed lists of any size go
+   straight to the major heap.  Under OCaml 5 they are the calling
+   domain's share only.
+
+   [fresh ()] builds the state one operation runs on.  It is called once
+   per operation, outside the timed region: a cold row hands out a new
+   context each time, a warm row the same one. *)
+
+type timing = { median_s : float; q1_s : float; q3_s : float; words : float }
+
+let samples = 7
+let min_sample_ns = 1_000_000.
+
+let measure ?(samples = samples) ~fresh op =
+  let batch n =
+    let states = Array.init n (fun _ -> fresh ()) in
+    let before = Obs.Resource.sample () in
+    let t0 = Monotonic_clock.now () in
+    Array.iter (fun s -> ignore (Sys.opaque_identity (op s))) states;
+    let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+    let d = Obs.Resource.delta ~before ~after:(Obs.Resource.sample ()) in
+    (ns, Obs.Resource.allocated_words d)
+  in
+  (* grow the batch until it spans 1 ms; that batch is the first sample *)
+  let rec calibrate n =
+    let ((ns, _) as first) = batch n in
+    if ns >= min_sample_ns then (n, first)
+    else
+      let scaled =
+        Float.to_int (Float.of_int n *. 1.25 *. min_sample_ns /. ns)
+      in
+      calibrate
+        (if ns <= 0. then n * 10 else max (n + 1) (min (n * 10) scaled))
+  in
+  let n, first = calibrate 1 in
+  let runs = first :: List.init (samples - 1) (fun _ -> batch n) in
+  let per_op = Float.of_int n in
+  let times = List.map (fun (ns, _) -> ns *. 1e-9 /. per_op) runs in
+  let q1_s, _, q3_s = E2e_stats.Stats.quartiles times in
+  {
+    median_s = E2e_stats.Stats.median times;
+    q1_s;
+    q3_s;
+    words =
+      E2e_stats.Stats.median (List.map (fun (_, w) -> w /. per_op) runs);
+  }
+
+(* the same operation over one state: a warm row *)
+let measure_on ?samples state op = measure ?samples ~fresh:(fun () -> state) op
+
+(* the median seconds of a stateless operation *)
+let median_s op = (measure_on () op).median_s
+
+(* All BENCH_*.json reports render through the shared Obs.Json tree —
+   one escaper, one float form — and the regression gate below reads
+   them back through the same module's parser.  A timed field is a
+   [timing_json] object; the gate compares its median. *)
+module Json = Obs.Json
+
+let write_json path doc =
+  Json.to_file path doc;
+  Printf.printf "wrote %s\n%!" path
+
+let timing_json t =
+  Json.Obj
+    [
+      ("median_s", Json.Float t.median_s);
+      ("q1_s", Json.Float t.q1_s);
+      ("q3_s", Json.Float t.q3_s);
+      ("words_per_op", Json.Float t.words);
+    ]
+
+let timing_note =
+  Printf.sprintf
+    "a timed field is the median and quartiles over %d samples of one \
+     operation's seconds (each sample repeats it for >= 1 ms on the \
+     monotonic clock) and its words allocated per operation"
+    samples
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -51,6 +126,16 @@ let print_list name list =
     (Format.asprintf "%a" (Engine.Topk.pp_table ?header:None) list)
 
 (* ---- Tables 1 and 2: the atomic predicate inputs ----------------------- *)
+
+let regenerated store f =
+  let table = Picture.Retrieval.eval store ~level:2 f in
+  let t = median_s (fun () -> Picture.Retrieval.eval store ~level:2 f) in
+  print_list
+    (Printf.sprintf
+       "regenerated by the picture system over the reconstruction (%.3f ms; \
+        our scorer's values):"
+       (t *. 1e3))
+    (Simlist.Sim_table.project_exists table)
 
 let table1 () =
   header "Table 1 - Moving-Train (atomic similarity table, input)";
@@ -62,15 +147,7 @@ let table1 () =
     parse
       "exists z . (present(z) and type(z) = \"train\" and moving(z) = true)"
   in
-  let table, t =
-    best_of 3 (fun () -> Picture.Retrieval.eval store ~level:2 f)
-  in
-  print_list
-    (Printf.sprintf
-       "regenerated by the picture system over the reconstruction (%.3f ms; \
-        our scorer's values):"
-       (t *. 1e3))
-    (Simlist.Sim_table.project_exists table)
+  regenerated store f
 
 let table2 () =
   header "Table 2 - Man-Woman (atomic similarity table, input)";
@@ -81,19 +158,11 @@ let table2 () =
       "exists x, y . present(x) and type(x) = \"man\" and present(y) and \
        type(y) = \"woman\""
   in
-  let table, t =
-    best_of 3 (fun () -> Picture.Retrieval.eval store ~level:2 f)
-  in
-  print_list
-    (Printf.sprintf
-       "regenerated by the picture system over the reconstruction (%.3f ms; \
-        our scorer's values):"
-       (t *. 1e3))
-    (Simlist.Sim_table.project_exists table)
+  regenerated store f
 
 (* ---- Table 3: the intermediate eventually-list -------------------------- *)
 
-(* Timing sections evaluate without the subformula cache: best_of re-runs
+(* Timing sections evaluate without the subformula cache: repeated runs
    must measure the algorithms, not cache hits.  The cache itself is
    measured in the dedicated cold/warm section below. *)
 let cold ctx = Engine.Context.without_cache ctx
@@ -101,9 +170,8 @@ let cold ctx = Engine.Context.without_cache ctx
 let table3 () =
   header "Table 3 - eventually Moving-Train (computed)";
   let ctx = cold (C.context ()) in
-  let r, t =
-    best_of 5 (fun () -> Engine.Query.run_string ctx "eventually moving_train")
-  in
+  let run () = Engine.Query.run_string ctx "eventually moving_train" in
+  let r = run () and t = median_s run in
   print_list (Printf.sprintf "computed in %.3f ms:" (t *. 1e3)) r;
   Printf.printf "matches the paper: %b\n%!" (Sim_list.equal r C.expected_table3)
 
@@ -112,17 +180,13 @@ let table3 () =
 let table4 () =
   header "Table 4 - Query 1 = Man-Woman AND eventually Moving-Train";
   let ctx = cold (C.context ()) in
-  let direct, t_direct =
-    best_of 5 (fun () -> Engine.Query.run_string ctx C.query1)
-  in
+  let run ?backend () = Engine.Query.run_string ?backend ctx C.query1 in
+  let direct = run () and t_direct = median_s run in
   print_list
     (Printf.sprintf "direct approach (%.3f ms), ranked:" (t_direct *. 1e3))
     direct;
-  let sql, t_sql =
-    best_of 3 (fun () ->
-        Engine.Query.run_string ~backend:Engine.Query.Sql_backend_choice ctx
-          C.query1)
-  in
+  let backend = Engine.Query.Sql_backend_choice in
+  let sql = run ~backend () and t_sql = median_s (run ~backend) in
   Printf.printf "SQL-based approach (%.3f ms) identical to direct: %b\n%!"
     (t_sql *. 1e3)
     (Sim_list.equal direct sql);
@@ -154,11 +218,11 @@ let fig2 () =
   header "Figure 2 - the until algorithm's worked example";
   print_list "L1 (g, entries above the threshold):" fig2_g;
   print_list "L2 (h):" fig2_h;
-  let r, t =
-    best_of 10 (fun () ->
-        Sim_list.until_merge ~extents:(Simlist.Extent.single 300) fig2_g fig2_h)
+  let run () =
+    Sim_list.until_merge ~extents:(Simlist.Extent.single 300) fig2_g fig2_h
   in
-  print_list (Printf.sprintf "output (%.1f us):" (t *. 1e6)) r;
+  let r = run () and t = median_s run in
+  print_list (Printf.sprintf "output (%.3f us):" (t *. 1e6)) r;
   let expected =
     Sim_list.of_entries ~max:20.
       [
@@ -179,12 +243,12 @@ let perf_row ~seed ~n query =
     cold (Workload.Synthetic.context_with_atoms ~seed ~n [ "p1"; "p2"; "p3" ])
   in
   let f = parse query in
-  let direct, t_direct = best_of 3 (fun () -> Engine.Query.run ctx f) in
+  let direct () = Engine.Query.run ctx f in
   let backend = Engine.Sql_backend.create ctx in
-  let sql, t_sql = time (fun () -> Engine.Sql_backend.run backend ctx f) in
-  if not (Sim_list.equal direct sql) then
+  let sql () = Engine.Sql_backend.run backend ctx f in
+  if not (Sim_list.equal (direct ()) (sql ())) then
     failwith ("backends disagree on " ^ query);
-  (t_direct, t_sql)
+  (median_s direct, median_s sql)
 
 let perf_table ?(sizes = sizes) ~title ~query ~paper () =
   header title;
@@ -264,11 +328,11 @@ let ablation_sort () =
   let shuffled = Array.to_list (shuffle rng entries) in
   let max = Sim_list.max_sim list in
   Printf.printf "intervals: %d\n" (Array.length entries);
-  let _, t_sorted =
-    best_of 5 (fun () -> Sim_list.of_entries ~max (Array.to_list entries))
+  let t_sorted =
+    median_s (fun () -> Sim_list.of_entries ~max (Array.to_list entries))
   in
   Printf.printf "build from already-sorted input:   %.6f s\n" t_sorted;
-  let _, t_shuffled = best_of 5 (fun () -> Sim_list.of_entries ~max shuffled) in
+  let t_shuffled = median_s (fun () -> Sim_list.of_entries ~max shuffled) in
   Printf.printf "build from shuffled input (merge sort): %.6f s\n" t_shuffled;
   (* an O(n^2) insertion sort, for scale, on a small prefix *)
   let small = List.filteri (fun i _ -> i < 4000) shuffled in
@@ -281,8 +345,8 @@ let ablation_sort () =
     in
     List.fold_left (fun acc x -> insert x acc) [] l
   in
-  let _, t_insertion =
-    time (fun () -> Sim_list.of_entries ~max (insertion_sort small))
+  let t_insertion =
+    median_s (fun () -> Sim_list.of_entries ~max (insertion_sort small))
   in
   Printf.printf
     "insertion sort on a %d-interval prefix: %.6f s (quadratic - why the \
@@ -300,9 +364,8 @@ let ablation_threshold () =
     "Time (s)";
   List.iter
     (fun threshold ->
-      let r, t =
-        best_of 3 (fun () -> Sim_list.until_merge ~threshold ~extents g h)
-      in
+      let run () = Sim_list.until_merge ~threshold ~extents g h in
+      let r = run () and t = median_s run in
       Printf.printf "%-10.2f %12d %12d %12.6f\n%!" threshold
         (Sim_list.length r) (Sim_list.covered r) t)
     [ 0.1; 0.25; 0.5; 0.75; 0.9 ]
@@ -320,8 +383,8 @@ let ablation_merge () =
             Workload.Synthetic.similarity_list rng ~n:200_000
               ~selectivity:0.05 ~max:10. ())
       in
-      let _, t_dc = best_of 3 (fun () -> Sim_list.merge_max lists) in
-      let _, t_pw = best_of 3 (fun () -> Sim_list.merge_max_pairwise lists) in
+      let t_dc = median_s (fun () -> Sim_list.merge_max lists) in
+      let t_pw = median_s (fun () -> Sim_list.merge_max_pairwise lists) in
       Printf.printf "%-6d %18.6f %18.6f\n%!" m t_dc t_pw)
     [ 2; 4; 8; 16; 32; 64 ]
 
@@ -347,10 +410,7 @@ let ablation_linear () =
            ignore (Sim_list.conjunction a b);
            ignore (Sim_list.merge_max [ a; b ])
          in
-         let w0 = Gc.minor_words () in
-         kernels ();
-         let words = Gc.minor_words () -. w0 in
-         let (), t = best_of 3 kernels in
+         let { median_s = t; words; _ } = measure_on () kernels in
          let n = Sim_list.length a + Sim_list.length b in
          Printf.printf "%-10d %12.6f %14.1f %10s\n%!" (n / 2) t
            (words /. float_of_int n)
@@ -416,45 +476,34 @@ type cache_row = {
   workload : string;
   name : string;
   query : string;
-  cold_s : float;
-  warm_s : float;
+  cold : timing;
+  warm : timing;
   hits : int;
   misses : int;
   evictions : int;
 }
 
-(* cold: first evaluation through a fresh cache (cache fills, no hits);
-   warm: re-evaluation through the now-populated cache.  [fresh_ctx]
-   must build a context with a private empty cache. *)
-let cache_row ~workload ~fresh_ctx (name, query) =
+(* cold: first evaluation through a fresh cache (a new empty cache per
+   operation); warm: re-evaluation through the populated cache.  The
+   counters are those of one cold and one warm evaluation. *)
+let cache_row ~workload base (name, query) =
+  let fresh_ctx () = Engine.Context.with_fresh_cache base in
   let f = parse query in
-  let cold_best = ref infinity and sample = ref None in
-  for _ = 1 to 5 do
-    let ctx = fresh_ctx () in
-    let _, t = time (fun () -> Engine.Query.run ctx f) in
-    if t < !cold_best then cold_best := t;
-    sample := Some ctx
-  done;
-  let ctx = Option.get !sample in
-  (* a warm hit is far below the clock's resolution: average a batch *)
-  let warm_result = Engine.Query.run ctx f in
-  let reps = 1000 in
-  let (), warm_total =
-    time (fun () ->
-        for _ = 1 to reps do
-          ignore (Engine.Query.run ctx f)
-        done)
-  in
-  let warm_s = warm_total /. float_of_int reps in
-  let cold_result = Engine.Query.run (Engine.Context.without_cache ctx) f in
-  if not (Sim_list.equal cold_result warm_result) then
-    failwith ("cache changes the result of " ^ query);
+  let run ctx = Engine.Query.run ctx f in
+  let ctx = fresh_ctx () in
+  ignore (run ctx);
+  let warm_result = run ctx in
   let hits, misses, evictions =
     match Engine.Query.cache_stats ctx with
-    | Some s -> (s.Engine.Cache.hits, s.Engine.Cache.misses, s.Engine.Cache.evictions)
+    | Some s -> Engine.Cache.(s.hits, s.misses, s.evictions)
     | None -> (0, 0, 0)
   in
-  { workload; name; query; cold_s = !cold_best; warm_s; hits; misses; evictions }
+  if not (Sim_list.equal (run (Engine.Context.without_cache ctx)) warm_result)
+  then failwith ("cache changes the result of " ^ query);
+  let cold = measure ~fresh:fresh_ctx run and warm = measure_on ctx run in
+  { workload; name; query; cold; warm; hits; misses; evictions }
+
+let speedup ~slow ~fast = slow.median_s /. Float.max 1e-12 fast.median_s
 
 let print_cache_rows rows =
   Printf.printf "%-10s %-8s %12s %12s %9s %6s %7s %6s\n" "Workload" "Query"
@@ -462,19 +511,10 @@ let print_cache_rows rows =
   List.iter
     (fun r ->
       Printf.printf "%-10s %-8s %12.9f %12.9f %8.1fx %6d %7d %6d\n%!"
-        r.workload r.name r.cold_s r.warm_s
-        (r.cold_s /. Float.max 1e-12 r.warm_s)
+        r.workload r.name r.cold.median_s r.warm.median_s
+        (speedup ~slow:r.cold ~fast:r.warm)
         r.hits r.misses r.evictions)
     rows
-
-(* All BENCH_*.json reports render through the shared Obs.Json tree —
-   one escaper, one float form — and the regression gate below reads
-   them back through the same module's parser. *)
-module Json = Obs.Json
-
-let write_json path doc =
-  Json.to_file path doc;
-  Printf.printf "wrote %s\n%!" path
 
 let cache_json rows =
   let row r =
@@ -483,15 +523,12 @@ let cache_json rows =
         ("workload", Json.String r.workload);
         ("name", Json.String r.name);
         ("query", Json.String r.query);
-        ("cold_s", Json.Float r.cold_s);
-        ("warm_s", Json.Float r.warm_s);
-        ("speedup", Json.Float (r.cold_s /. Float.max 1e-12 r.warm_s));
+        ("cold", timing_json r.cold);
+        ("warm", timing_json r.warm);
+        ("speedup", Json.Float (speedup ~slow:r.cold ~fast:r.warm));
         ("hits", Json.Int r.hits);
         ("misses", Json.Int r.misses);
         ("evictions", Json.Int r.evictions);
-        (* cold_s is one fresh-cache evaluation and too noisy to gate;
-           the steady state the cache exists for is warm_s *)
-        ("gate", Json.String "warm_s");
       ]
   in
   Json.Obj
@@ -499,27 +536,22 @@ let cache_json rows =
       ("bench", Json.String "cache");
       ( "note",
         Json.String
-          "cold = first evaluation through a fresh subformula cache (best \
-           of 5 fresh caches); warm = re-evaluation over the populated \
-           cache (mean of 1000); times in seconds" );
+          (timing_note
+         ^ "; cold = first evaluation through a fresh subformula cache (a \
+            new empty cache per operation); warm = re-evaluation over the \
+            populated cache; counters of one cold and one warm evaluation"
+          ) );
       ("rows", Json.Array (List.map row rows));
     ]
 
+let synthetic_context ~n () =
+  Workload.Synthetic.context_with_atoms ~seed:4242 ~n [ "p1"; "p2"; "p3" ]
+
 let cache_rows () =
-  let casablanca =
-    List.map
-      (cache_row ~workload:"casablanca" ~fresh_ctx:(fun () -> C.context ()))
-      casablanca_queries
-  in
-  let n = 100_000 in
-  let synthetic =
-    List.map
-      (cache_row ~workload:"synthetic" ~fresh_ctx:(fun () ->
-           Workload.Synthetic.context_with_atoms ~seed:4242 ~n
-             [ "p1"; "p2"; "p3" ]))
+  List.map (cache_row ~workload:"casablanca" (C.context ())) casablanca_queries
+  @ List.map
+      (cache_row ~workload:"synthetic" (synthetic_context ~n:100_000 ()))
       synthetic_queries
-  in
-  casablanca @ synthetic
 
 let bench_cache () =
   header "Cache - cold vs warm query latency (subformula result cache)";
@@ -527,23 +559,28 @@ let bench_cache () =
   print_cache_rows rows;
   (* shared-subtree refinement: the second query reuses the first's
      until-table from the cache *)
-  let ctx =
-    Workload.Synthetic.context_with_atoms ~seed:4242 ~n:100_000
-      [ "p1"; "p2"; "p3" ]
+  let base_ctx = synthetic_context ~n:100_000 () in
+  let fresh () = Engine.Context.with_fresh_cache base_ctx in
+  let run f ctx = Engine.Query.run ctx f in
+  let base = run (parse "p1 until p2")
+  and refined = run (parse "(p1 until p2) and eventually p3") in
+  let t_base = measure ~fresh base in
+  let t_refined =
+    measure
+      ~fresh:(fun () ->
+        let ctx = fresh () in
+        ignore (base ctx);
+        ctx)
+      refined
   in
-  let base = parse "p1 until p2" in
-  let refined = parse "(p1 until p2) and eventually p3" in
-  let _, t_base = time (fun () -> Engine.Query.run ctx base) in
-  let _, t_refined = time (fun () -> Engine.Query.run ctx refined) in
-  let _, t_refined_cold =
-    time (fun () ->
-        Engine.Query.run (Engine.Context.without_cache ctx) refined)
+  let t_refined_cold =
+    measure_on (Engine.Context.without_cache (fresh ())) refined
   in
   Printf.printf
     "refinement: \"p1 until p2\" %.6f s, then \"(p1 until p2) and \
      eventually p3\" %.6f s warm vs %.6f s cold (shared until-subtree \
      served from cache)\n%!"
-    t_base t_refined t_refined_cold;
+    t_base.median_s t_refined.median_s t_refined_cold.median_s;
   write_json "BENCH_cache.json" (cache_json rows)
 
 (* ---- parallel: domain-pool scaling ---------------------------------------------- *)
@@ -559,8 +596,8 @@ type par_row = {
   p_name : string;
   p_query : string;
   p_domains : int;
-  p_time_s : float;
-  p_base_s : float;  (* same query at the smallest pool size measured *)
+  p_time : timing;
+  p_base : timing;  (* same query at the smallest pool size measured *)
 }
 
 let print_par_rows rows =
@@ -569,8 +606,8 @@ let print_par_rows rows =
   List.iter
     (fun r ->
       Printf.printf "%-14s %-8s %8d %13.6f %8.2fx\n%!" r.p_workload r.p_name
-        r.p_domains r.p_time_s
-        (r.p_base_s /. Float.max 1e-12 r.p_time_s))
+        r.p_domains r.p_time.median_s
+        (speedup ~slow:r.p_base ~fast:r.p_time))
     rows
 
 (* a store big enough that the per-segment scoring scans dominate:
@@ -599,11 +636,9 @@ let parallel_batch_queries =
       ("horse", "next (exists z . (present(z) and type(z) = \"horse\"))");
     ]
 
-(* measure [queries] cold at every pool size; [mk_ctx pool] builds the
-   evaluation context around the given pool.  [inner] averages a loop of
-   evaluations per sample — the tiny Casablanca queries are below the
-   clock's resolution individually. *)
-let par_rows ~workload ~mk_ctx ~repeats ?(inner = 1) queries =
+(* measure [queries] cacheless at every pool size; [mk_ctx pool] builds
+   the evaluation context around the given pool *)
+let par_rows ~workload ~mk_ctx queries =
   let times =
     List.map
       (fun d ->
@@ -612,14 +647,8 @@ let par_rows ~workload ~mk_ctx ~repeats ?(inner = 1) queries =
               List.map
                 (fun (name, query) ->
                   let f = parse query in
-                  let ctx = mk_ctx pool in
-                  let _, t =
-                    best_of repeats (fun () ->
-                        for _ = 1 to inner do
-                          ignore (Engine.Query.run ctx f)
-                        done)
-                  in
-                  (name, query, t /. float_of_int inner))
+                  (name, query, measure_on (mk_ctx pool) (fun ctx ->
+                       Engine.Query.run ctx f)))
                 queries )))
       (domain_counts ())
   in
@@ -639,17 +668,15 @@ let par_rows ~workload ~mk_ctx ~repeats ?(inner = 1) queries =
             p_name = name;
             p_query = query;
             p_domains = d;
-            p_time_s = t;
-            p_base_s = base_of name;
+            p_time = t;
+            p_base = base_of name;
           })
         rows)
     times
 
-type batch_row = {
-  b_domains : int;
-  b_queries : int;
-  b_time_s : float;
-}
+type batch_row = { b_domains : int; b_queries : int; b_time : timing }
+
+let batch_qps r = float_of_int r.b_queries /. Float.max 1e-12 r.b_time.median_s
 
 let print_batch_rows rows =
   Printf.printf "%-8s %8s %13s %12s\n" "Domains" "Queries" "Time (s)"
@@ -657,8 +684,7 @@ let print_batch_rows rows =
   List.iter
     (fun r ->
       Printf.printf "%-8d %8d %13.6f %12.2f\n%!" r.b_domains r.b_queries
-        r.b_time_s
-        (float_of_int r.b_queries /. Float.max 1e-12 r.b_time_s))
+        r.b_time.median_s (batch_qps r))
     rows
 
 let parallel_json ~cores ~segments rows batch_rows =
@@ -669,8 +695,8 @@ let parallel_json ~cores ~segments rows batch_rows =
         ("name", Json.String r.p_name);
         ("query", Json.String r.p_query);
         ("domains", Json.Int r.p_domains);
-        ("time_s", Json.Float r.p_time_s);
-        ("speedup", Json.Float (r.p_base_s /. Float.max 1e-12 r.p_time_s));
+        ("time", timing_json r.p_time);
+        ("speedup", Json.Float (speedup ~slow:r.p_base ~fast:r.p_time));
       ]
   in
   let batch r =
@@ -678,10 +704,8 @@ let parallel_json ~cores ~segments rows batch_rows =
       [
         ("domains", Json.Int r.b_domains);
         ("queries", Json.Int r.b_queries);
-        ("time_s", Json.Float r.b_time_s);
-        ( "qps",
-          Json.Float (float_of_int r.b_queries /. Float.max 1e-12 r.b_time_s)
-        );
+        ("time", timing_json r.b_time);
+        ("qps", Json.Float (batch_qps r));
       ]
   in
   Json.Obj
@@ -691,9 +715,11 @@ let parallel_json ~cores ~segments rows batch_rows =
       ("synthetic_segments", Json.Int segments);
       ( "note",
         Json.String
-          "cold queries (no subformula cache); speedup is relative to the \
-           smallest pool size measured; scaling beyond the physical core \
-           count cannot materialise" );
+          (timing_note
+         ^ "; cacheless queries, the same context at each pool size; \
+            speedup is relative to the smallest pool size measured; \
+            scaling beyond the physical core count cannot materialise; \
+            words count the calling domain's allocation only" ) );
       ("rows", Json.Array (List.map row rows));
       ("batch", Json.Array (List.map batch batch_rows));
     ]
@@ -707,7 +733,7 @@ let parallel_data () =
     "\nCasablanca Q1-Q4 (tiny tables, par_cutoff forced to 0: overhead \
      check)\n";
   let casa =
-    par_rows ~workload:"casablanca" ~repeats:3 ~inner:1000
+    par_rows ~workload:"casablanca"
       ~mk_ctx:(fun pool ->
         Engine.Context.with_pool ~par_cutoff:0 (cold (C.context ())) pool)
       casablanca_queries
@@ -720,7 +746,7 @@ let parallel_data () =
   Printf.printf "\nSynthetic store scans (%d leaf segments, default cutoff)\n"
     segments;
   let synth =
-    par_rows ~workload:"synthetic" ~repeats:2
+    par_rows ~workload:"synthetic"
       ~mk_ctx:(fun pool ->
         Engine.Context.with_pool (cold (Engine.Context.of_store store)) pool)
       parallel_synthetic_queries
@@ -734,15 +760,17 @@ let parallel_data () =
       (fun d ->
         Parallel.Pool.with_pool ~domains:d (fun pool ->
             let ctx = cold (Engine.Context.of_store store) in
-            let results, t =
-              time (fun () -> Engine.Query.run_batch ~pool ctx fs)
-            in
             List.iter
               (function
                 | Ok _ -> ()
                 | Error msg -> failwith ("batch query failed: " ^ msg))
-              results;
-            { b_domains = d; b_queries = List.length fs; b_time_s = t }))
+              (Engine.Query.run_batch ~pool ctx fs);
+            {
+              b_domains = d;
+              b_queries = List.length fs;
+              b_time =
+                measure_on ctx (fun ctx -> Engine.Query.run_batch ~pool ctx fs);
+            }))
       (domain_counts ())
   in
   print_batch_rows batch_rows;
@@ -760,39 +788,37 @@ type trace_row = {
   t_workload : string;
   t_name : string;
   t_query : string;
-  t_off_s : float;  (* nil tracer — the production path *)
-  t_on_s : float;  (* tracer + metrics attached *)
+  t_off : timing;  (* nil tracer — the production path *)
+  t_on : timing;  (* tracer + metrics attached *)
   t_spans : Obs.Trace.summary_row list;  (* from the last traced run *)
 }
 
 let trace_row ~workload ~mk_ctx (name, query) =
   let f = parse query in
-  let off_ctx = cold (mk_ctx ()) in
-  let r_off, off_s = best_of 5 (fun () -> Engine.Query.run off_ctx f) in
+  let off ctx = Engine.Query.run ctx f in
   let tracer = Obs.Trace.create () in
+  let on ctx =
+    Obs.Trace.clear tracer;
+    Engine.Query.run ctx f
+  in
+  let off_ctx = cold (mk_ctx ()) in
   let on_ctx =
     Engine.Context.with_metrics
       (Engine.Context.with_tracer (cold (mk_ctx ())) tracer)
       (Obs.Metrics.create ())
   in
-  let r_on, on_s =
-    best_of 5 (fun () ->
-        Obs.Trace.clear tracer;
-        Engine.Query.run on_ctx f)
-  in
-  if not (Sim_list.equal r_off r_on) then
+  if not (Sim_list.equal (off off_ctx) (on on_ctx)) then
     failwith ("tracing changes the result of " ^ query);
   {
     t_workload = workload;
     t_name = name;
     t_query = query;
-    t_off_s = off_s;
-    t_on_s = on_s;
+    t_off = measure_on off_ctx off;
+    t_on = measure_on on_ctx on;
     t_spans = Obs.Trace.summarize tracer;
   }
 
-let overhead_pct r =
-  (r.t_on_s -. r.t_off_s) /. Float.max 1e-12 r.t_off_s *. 100.
+let overhead_pct r = (speedup ~slow:r.t_on ~fast:r.t_off -. 1.) *. 100.
 
 let print_trace_rows rows =
   Printf.printf "%-11s %-8s %13s %13s %10s %6s\n" "Workload" "Query"
@@ -800,7 +826,7 @@ let print_trace_rows rows =
   List.iter
     (fun r ->
       Printf.printf "%-11s %-8s %13.9f %13.9f %9.1f%% %6d\n%!" r.t_workload
-        r.t_name r.t_off_s r.t_on_s (overhead_pct r)
+        r.t_name r.t_off.median_s r.t_on.median_s (overhead_pct r)
         (List.fold_left (fun acc (s : Obs.Trace.summary_row) ->
              acc + s.count)
            0 r.t_spans))
@@ -824,8 +850,8 @@ let trace_json rows =
         ("workload", Json.String r.t_workload);
         ("name", Json.String r.t_name);
         ("query", Json.String r.t_query);
-        ("off_s", Json.Float r.t_off_s);
-        ("traced_s", Json.Float r.t_on_s);
+        ("off", timing_json r.t_off);
+        ("traced", timing_json r.t_on);
         ("overhead_pct", Json.Float (overhead_pct r));
         ("spans", Json.Array (List.map span r.t_spans));
       ]
@@ -835,27 +861,19 @@ let trace_json rows =
       ("bench", Json.String "trace");
       ( "note",
         Json.String
-          "off = nil tracer (the production path); traced = span recorder \
-           + metrics registry attached; spans summarise the last traced \
-           run (per-name count and total seconds)" );
+          (timing_note
+         ^ "; off = nil tracer (the production path); traced = span \
+            recorder + metrics registry attached; spans summarise the last \
+            traced run (per-name count and total seconds)" ) );
       ("rows", Json.Array (List.map row rows));
     ]
 
 let trace_rows () =
-  let casablanca =
-    List.map
-      (trace_row ~workload:"casablanca" ~mk_ctx:(fun () -> C.context ()))
-      casablanca_queries
-  in
-  let n = 50_000 in
-  let synthetic =
-    List.map
-      (trace_row ~workload:"synthetic" ~mk_ctx:(fun () ->
-           Workload.Synthetic.context_with_atoms ~seed:4242 ~n
-             [ "p1"; "p2"; "p3" ]))
+  List.map (trace_row ~workload:"casablanca" ~mk_ctx:C.context)
+    casablanca_queries
+  @ List.map
+      (trace_row ~workload:"synthetic" ~mk_ctx:(synthetic_context ~n:50_000))
       synthetic_queries
-  in
-  casablanca @ synthetic
 
 let bench_trace () =
   header "Trace - observability overhead and span summaries";
@@ -890,9 +908,9 @@ let index_queries =
 type index_row = {
   i_name : string;
   i_query : string;
-  i_cold_s : float;  (* fresh context: the registry must build the index *)
-  i_warm_s : float;  (* reused context: the registry serves it *)
-  i_builds : int;  (* counters over the whole warm batch *)
+  i_cold : timing;  (* fresh context: the registry must build the index *)
+  i_warm : timing;  (* reused context: the registry serves it *)
+  i_builds : int;  (* counters of one cold and one warm evaluation *)
   i_hits : int;
 }
 
@@ -901,33 +919,24 @@ type index_row = {
    attached so both sides pay the same observed-path overhead. *)
 let registry_row store (name, query) =
   let f = parse query in
-  let cold_best = ref infinity in
-  for _ = 1 to 5 do
-    let ctx =
-      Engine.Context.with_metrics
-        (cold (Engine.Context.of_store store))
-        (Obs.Metrics.create ())
-    in
-    let _, t = time (fun () -> Engine.Query.run ctx f) in
-    if t < !cold_best then cold_best := t
-  done;
-  let m = Obs.Metrics.create () in
-  let ctx =
+  let run ctx = Engine.Query.run ctx f in
+  let observed m =
     Engine.Context.with_metrics (cold (Engine.Context.of_store store)) m
   in
-  ignore (Engine.Query.run ctx f) (* populate the registry *);
-  let warm_best = ref infinity in
-  for _ = 1 to 10 do
-    let _, t = time (fun () -> Engine.Query.run ctx f) in
-    if t < !warm_best then warm_best := t
-  done;
+  let fresh () = observed (Obs.Metrics.create ()) in
+  let m = Obs.Metrics.create () in
+  let ctx = observed m in
+  ignore (run ctx) (* populate the registry *);
+  ignore (run ctx);
+  let builds = Obs.Metrics.counter_value m "picture.index.builds"
+  and hits = Obs.Metrics.counter_value m "picture.index.registry_hits" in
   {
     i_name = name;
     i_query = query;
-    i_cold_s = !cold_best;
-    i_warm_s = !warm_best;
-    i_builds = Obs.Metrics.counter_value m "picture.index.builds";
-    i_hits = Obs.Metrics.counter_value m "picture.index.registry_hits";
+    i_cold = measure ~fresh run;
+    i_warm = measure_on ctx run;
+    i_builds = builds;
+    i_hits = hits;
   }
 
 let print_index_rows rows =
@@ -935,20 +944,11 @@ let print_index_rows rows =
     "Speedup" "Builds" "Hits";
   List.iter
     (fun r ->
-      Printf.printf "%-8s %12.6f %12.6f %8.1fx %7d %6d\n%!" r.i_name r.i_cold_s
-        r.i_warm_s
-        (r.i_cold_s /. Float.max 1e-12 r.i_warm_s)
+      Printf.printf "%-8s %12.6f %12.6f %8.1fx %7d %6d\n%!" r.i_name
+        r.i_cold.median_s r.i_warm.median_s
+        (speedup ~slow:r.i_cold ~fast:r.i_warm)
         r.i_builds r.i_hits)
     rows
-
-type prune_row = {
-  x_name : string;
-  x_query : string;
-  x_pruned_s : float;
-  x_full_s : float;
-  x_pruned_scanned : int;
-  x_full_scanned : int;
-}
 
 (* total of the per-level scan counters — the same
    [picture.segments_scanned.l<N>] series the slow-query log reads *)
@@ -961,7 +961,7 @@ let scanned_total m =
       | _ -> acc)
     0 (Obs.Metrics.snapshot m)
 
-let prune_measure store ~prune f =
+let scan_measure store ~prune f =
   let config = { Picture.Retrieval.default_config with prune } in
   let m = Obs.Metrics.create () in
   let ctx =
@@ -972,8 +972,7 @@ let prune_measure store ~prune f =
   let before = scanned_total m in
   let r = Engine.Query.run ctx f in
   let scanned = scanned_total m - before in
-  let _, t = best_of 3 (fun () -> Engine.Query.run ctx f) in
-  (r, t, scanned)
+  (r, measure_on ctx (fun ctx -> Engine.Query.run ctx f), scanned)
 
 (* [Retrieval.eval] (staged scorer, sparse bound rows) against its
    oracle, every row built densely from [score_at]: the query, and its
@@ -1002,32 +1001,46 @@ let rec check_retrieval store f ~query =
   | Htl.Ast.Exists (_, body) -> check_retrieval store body ~query
   | _ -> ()
 
+(* pruned candidate scans against full scans (prune = false) of one
+   formula over one store; the two must answer the same *)
+type scans = {
+  pruned : timing;
+  full : timing;
+  pruned_scanned : int;
+  full_scanned : int;
+}
+
+let scans store f ~what =
+  let r_pruned, pruned, pruned_scanned = scan_measure store ~prune:true f in
+  let r_full, full, full_scanned = scan_measure store ~prune:false f in
+  if not (Sim_list.equal r_pruned r_full) then
+    failwith ("index pruning changes the result of " ^ what);
+  { pruned; full; pruned_scanned; full_scanned }
+
+let print_scans key rows =
+  Printf.printf "%-12s %12s %12s %9s %10s %10s\n" key "Pruned (s)" "Full (s)"
+    "Speedup" "Scan/prn" "Scan/full";
+  List.iter
+    (fun (key, r) ->
+      Printf.printf "%-12s %12.6f %12.6f %8.1fx %10d %10d\n%!" key
+        r.pruned.median_s r.full.median_s
+        (speedup ~slow:r.full ~fast:r.pruned)
+        r.pruned_scanned r.full_scanned)
+    rows
+
+let scans_fields r =
+  [
+    ("pruned", timing_json r.pruned);
+    ("full", timing_json r.full);
+    ("pruned_scanned", Json.Int r.pruned_scanned);
+    ("full_scanned", Json.Int r.full_scanned);
+  ]
+
 let prune_row store (name, query) =
   let f = parse query in
-  let r_pruned, pruned_s, pruned_scanned = prune_measure store ~prune:true f in
-  let r_full, full_s, full_scanned = prune_measure store ~prune:false f in
-  if not (Sim_list.equal r_pruned r_full) then
-    failwith ("index pruning changes the result of " ^ query);
+  let r = scans store f ~what:query in
   check_retrieval store f ~query;
-  {
-    x_name = name;
-    x_query = query;
-    x_pruned_s = pruned_s;
-    x_full_s = full_s;
-    x_pruned_scanned = pruned_scanned;
-    x_full_scanned = full_scanned;
-  }
-
-let print_prune_rows rows =
-  Printf.printf "%-8s %12s %12s %9s %10s %10s\n" "Query" "Pruned (s)"
-    "Full (s)" "Speedup" "Scan/prn" "Scan/full";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8s %12.6f %12.6f %8.1fx %10d %10d\n%!" r.x_name
-        r.x_pruned_s r.x_full_s
-        (r.x_full_s /. Float.max 1e-12 r.x_pruned_s)
-        r.x_pruned_scanned r.x_full_scanned)
-    rows
+  (name, query, r)
 
 (* selectivity sweep: a two-level store whose leaves all carry a "hot"
    attribute, "yes" on the requested fraction — the candidate set of
@@ -1046,39 +1059,11 @@ let sweep_store selectivity =
   in
   Video_model.Store.of_video (Video_model.Video.two_level ~title:"sweep" metas)
 
-type sweep_row = {
-  s_selectivity : float;
-  s_pruned_s : float;
-  s_full_s : float;
-  s_pruned_scanned : int;
-  s_full_scanned : int;
-}
-
 let sweep_row selectivity =
-  let store = sweep_store selectivity in
-  let f = parse "seg.hot = \"yes\"" in
-  let r_pruned, pruned_s, pruned_scanned = prune_measure store ~prune:true f in
-  let r_full, full_s, full_scanned = prune_measure store ~prune:false f in
-  if not (Sim_list.equal r_pruned r_full) then
-    failwith "index pruning changes the selectivity-sweep result";
-  {
-    s_selectivity = selectivity;
-    s_pruned_s = pruned_s;
-    s_full_s = full_s;
-    s_pruned_scanned = pruned_scanned;
-    s_full_scanned = full_scanned;
-  }
-
-let print_sweep_rows rows =
-  Printf.printf "%-12s %12s %12s %9s %10s %10s\n" "Selectivity" "Pruned (s)"
-    "Full (s)" "Speedup" "Scan/prn" "Scan/full";
-  List.iter
-    (fun r ->
-      Printf.printf "%-12g %12.6f %12.6f %8.1fx %10d %10d\n%!" r.s_selectivity
-        r.s_pruned_s r.s_full_s
-        (r.s_full_s /. Float.max 1e-12 r.s_pruned_s)
-        r.s_pruned_scanned r.s_full_scanned)
-    rows
+  ( selectivity,
+    scans (sweep_store selectivity)
+      (parse "seg.hot = \"yes\"")
+      ~what:"the selectivity sweep" )
 
 let index_json ~segments reg_rows prune_rows sweep_rows =
   let reg r =
@@ -1086,36 +1071,20 @@ let index_json ~segments reg_rows prune_rows sweep_rows =
       [
         ("name", Json.String r.i_name);
         ("query", Json.String r.i_query);
-        ("cold_s", Json.Float r.i_cold_s);
-        ("warm_s", Json.Float r.i_warm_s);
-        ("speedup", Json.Float (r.i_cold_s /. Float.max 1e-12 r.i_warm_s));
+        ("cold", timing_json r.i_cold);
+        ("warm", timing_json r.i_warm);
+        ("speedup", Json.Float (speedup ~slow:r.i_cold ~fast:r.i_warm));
         ("builds", Json.Int r.i_builds);
         ("registry_hits", Json.Int r.i_hits);
-        (* cold_s includes the one-off index build; the registry's
-           steady state is the warm hit *)
-        ("gate", Json.String "warm_s");
       ]
   in
-  let pr r =
+  let pr (name, query, r) =
     Json.Obj
-      [
-        ("name", Json.String r.x_name);
-        ("query", Json.String r.x_query);
-        ("pruned_s", Json.Float r.x_pruned_s);
-        ("full_s", Json.Float r.x_full_s);
-        ("pruned_scanned", Json.Int r.x_pruned_scanned);
-        ("full_scanned", Json.Int r.x_full_scanned);
-      ]
+      ([ ("name", Json.String name); ("query", Json.String query) ]
+      @ scans_fields r)
   in
-  let sw r =
-    Json.Obj
-      [
-        ("selectivity", Json.Float r.s_selectivity);
-        ("pruned_s", Json.Float r.s_pruned_s);
-        ("full_s", Json.Float r.s_full_s);
-        ("pruned_scanned", Json.Int r.s_pruned_scanned);
-        ("full_scanned", Json.Int r.s_full_scanned);
-      ]
+  let sw (selectivity, r) =
+    Json.Obj (("selectivity", Json.Float selectivity) :: scans_fields r)
   in
   Json.Obj
     [
@@ -1124,12 +1093,14 @@ let index_json ~segments reg_rows prune_rows sweep_rows =
       ("sweep_segments", Json.Int sweep_segments);
       ( "note",
         Json.String
-          "registry: cold = fresh context (the registry must build the \
-           level's index) vs warm = reused context (registry hit), both \
-           cacheless, best-of timings; pruning: candidate scans vs full \
-           scans (prune = false), scanned = picture.segments_scanned \
-           delta of one evaluation; selectivity: seg.hot = \"yes\" at \
-           varying hot fractions over a dedicated store" );
+          (timing_note
+         ^ "; registry: cold = fresh context per operation (the registry \
+            must build the level's index) vs warm = reused context \
+            (registry hit), both cacheless, counters of one cold and one \
+            warm evaluation; pruning: candidate scans vs full scans (prune \
+            = false), scanned = picture.segments_scanned delta of one \
+            evaluation; selectivity: seg.hot = \"yes\" at varying hot \
+            fractions over a dedicated store" ) );
       ("registry", Json.Array (List.map reg reg_rows));
       ("pruning", Json.Array (List.map pr prune_rows));
       ("selectivity", Json.Array (List.map sw sweep_rows));
@@ -1146,11 +1117,12 @@ let index_data () =
   print_index_rows reg_rows;
   Printf.printf "\nCandidate pruning vs full scans (same store)\n";
   let prune_rows = List.map (prune_row store) index_queries in
-  print_prune_rows prune_rows;
+  print_scans "Query" (List.map (fun (name, _, r) -> (name, r)) prune_rows);
   Printf.printf "\nSelectivity sweep (%d segments, seg.hot = \"yes\")\n"
     sweep_segments;
   let sweep_rows = List.map sweep_row [ 0.01; 0.1; 0.5; 1.0 ] in
-  print_sweep_rows sweep_rows;
+  print_scans "Selectivity"
+    (List.map (fun (sel, r) -> (Printf.sprintf "%g" sel, r)) sweep_rows);
   (segments, reg_rows, prune_rows, sweep_rows)
 
 let bench_index () =
@@ -1158,711 +1130,6 @@ let bench_index () =
   let segments, reg_rows, prune_rows, sweep_rows = index_data () in
   let path = Option.value ~default:"BENCH_index.json" !opt_json in
   write_json path (index_json ~segments reg_rows prune_rows sweep_rows)
-
-(* ---- serve: closed-loop load against the live query service --------------------
-
-   Each combination of client count and domain-pool size gets its own
-   in-process server over a warm Casablanca store context.  Every client
-   thread owns one keep-alive connection and fires requests back to
-   back (closed loop), so queue wait and protocol overhead land in the
-   measured latencies.  The regression gate checks p50 only: at
-   microsecond-scale cached-query latencies a single GC pause can blow
-   p99 by an order of magnitude, and gating on it would page on noise. *)
-
-type serve_row = {
-  sv_clients : int;
-  sv_domains : int;
-  sv_sample : int;  (* --trace-sample rate; 0 = tracing off *)
-  sv_requests : int;
-  sv_qps : float;
-  sv_p50_s : float;
-  sv_p95_s : float;
-  sv_p99_s : float;
-}
-
-let serve_queries =
-  List.map
-    (fun q -> Printf.sprintf "{\"query\": \"%s\", \"k\": 5}" q)
-    [
-      "man_woman";
-      "man_woman and eventually moving_train";
-      "gun until man_woman";
-    ]
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
-
-let serve_combo ~clients ~domains ~sample =
-  let pool =
-    if domains > 0 then Some (Parallel.Pool.create ~domains ()) else None
-  in
-  let ctx = Engine.Context.of_store (Workload.Casablanca.store ()) in
-  let ctx =
-    match pool with
-    | Some p -> Engine.Context.with_pool ctx p
-    | None -> ctx
-  in
-  let state = Htl_server.Router.make ~trace_sample:sample ctx in
-  let config =
-    { Htl_server.Server.default_config with workers = max 2 clients }
-  in
-  let server = Htl_server.Server.start ~config state in
-  let port = Htl_server.Server.port server in
-  Fun.protect
-    ~finally:(fun () ->
-      Htl_server.Server.stop server;
-      Htl_server.Server.wait server;
-      Option.iter Parallel.Pool.shutdown pool)
-    (fun () ->
-      let warmup = 10 and per_client = 150 in
-      let latencies = Array.make (clients * per_client) 0. in
-      let client_thread idx =
-        let conn = Htl_server.Client.connect ~host:"127.0.0.1" ~port () in
-        Fun.protect
-          ~finally:(fun () -> Htl_server.Client.close conn)
-          (fun () ->
-            let nq = List.length serve_queries in
-            for i = 0 to (warmup + per_client) - 1 do
-              let body = List.nth serve_queries ((idx + i) mod nq) in
-              let t0 = Unix.gettimeofday () in
-              (match
-                 Htl_server.Client.roundtrip conn ~meth:"POST"
-                   ~target:"/query" ~body ()
-               with
-              | Ok (200, _, _) -> ()
-              | Ok (status, _, body) ->
-                  failwith
-                    (Printf.sprintf "serve bench: status %d (%s)" status body)
-              | Error msg -> failwith ("serve bench: " ^ msg));
-              if i >= warmup then
-                latencies.((idx * per_client) + i - warmup) <-
-                  Unix.gettimeofday () -. t0
-            done)
-      in
-      let t0 = Unix.gettimeofday () in
-      let threads = List.init clients (Thread.create client_thread) in
-      List.iter Thread.join threads;
-      let wall = Unix.gettimeofday () -. t0 in
-      Array.sort compare latencies;
-      let requests = clients * per_client in
-      {
-        sv_clients = clients;
-        sv_domains = domains;
-        sv_sample = sample;
-        sv_requests = requests;
-        sv_qps = float_of_int (requests + (clients * warmup)) /. wall;
-        sv_p50_s = percentile latencies 0.50;
-        sv_p95_s = percentile latencies 0.95;
-        sv_p99_s = percentile latencies 0.99;
-      })
-
-let serve_data () =
-  let domain_sizes =
-    match !opt_domains with Some d -> [ d ] | None -> [ 0; 2 ]
-  in
-  List.concat_map
-    (fun domains ->
-      List.map
-        (fun clients -> serve_combo ~clients ~domains ~sample:0)
-        [ 1; 4 ]
-      (* the traced arm: 1-in-8 sampling under the concurrent load, so
-         the gate's traced-p50 row prices the tracing overhead *)
-      @ [ serve_combo ~clients:4 ~domains ~sample:8 ])
-    domain_sizes
-
-let print_serve_rows rows =
-  Printf.printf "%8s %8s %8s %9s %12s %12s %12s %12s\n" "clients" "domains"
-    "sample" "requests" "qps" "p50 (ms)" "p95 (ms)" "p99 (ms)";
-  List.iter
-    (fun r ->
-      Printf.printf "%8d %8d %8d %9d %12.0f %12.4f %12.4f %12.4f\n"
-        r.sv_clients r.sv_domains r.sv_sample r.sv_requests r.sv_qps
-        (r.sv_p50_s *. 1e3) (r.sv_p95_s *. 1e3) (r.sv_p99_s *. 1e3))
-    rows
-
-let serve_json rows =
-  let row r =
-    Json.Obj
-      [
-        ("clients", Json.Int r.sv_clients);
-        ("domains", Json.Int r.sv_domains);
-        ("sample", Json.Int r.sv_sample);
-        ("requests", Json.Int r.sv_requests);
-        ("qps", Json.Float r.sv_qps);
-        ("p50_s", Json.Float r.sv_p50_s);
-        ("p95_s", Json.Float r.sv_p95_s);
-        ("p99_s", Json.Float r.sv_p99_s);
-      ]
-  in
-  Json.Obj
-    [
-      ("bench", Json.String "serve");
-      ( "note",
-        Json.String
-          "closed-loop keep-alive clients against an in-process htlq \
-           server over a warm casablanca-store context; latencies in \
-           seconds; sample > 0 rows run with --trace-sample-style 1-in-N \
-           request tracing; the regression gate checks p50_s only \
-           (p95/p99 are informational - GC pauses dominate their tails \
-           at this scale)" );
-      ("rows", Json.Array (List.map row rows));
-    ]
-
-let bench_serve () =
-  header "Serve - concurrent load against the live query service";
-  let rows = serve_data () in
-  print_serve_rows rows;
-  let path = Option.value ~default:"BENCH_serve.json" !opt_json in
-  write_json path (serve_json rows)
-
-(* ---- shards: million-segment scatter-gather and snapshots ----------------------
-
-   A synthetic million-leaf corpus (64 videos x 15_625 two-level leaves,
-   a ~10% "hot" flag and a 4-value "tone" attribute) drives three
-   experiments.  Scaling: the same warm-registry query set across shard
-   counts — on a single-core host the scatter adds a merge cost, so
-   these rows just gate time_s against noise.  Workload: interleaved
-   edits and queries, where partition-isolated invalidation is the
-   actual win — an unsharded store drops its whole 1M-segment registry
-   and cache on every edit, a 4-shard store rebuilds only the touched
-   quarter — gated on qps (higher is better).  Snapshot: binary
-   cold-start (load + first query, zero index builds) against sexp
-   re-ingestion (parse + index build), gated on cold_s. *)
-
-module Sharded = Htl_shard.Sharded
-
-let shard_videos = 64
-let shard_leaves_per_video = 15_625 (* x 64 videos = 1_000_000 leaves *)
-let shard_tones = [| "warm"; "cold"; "tense"; "flat" |]
-
-let shard_corpus =
-  lazy
-    (Video_model.Store.create
-       (List.init shard_videos (fun v ->
-            let metas =
-              List.init shard_leaves_per_video (fun i ->
-                  let hot = (i + v) mod 10 = 0 in
-                  Metadata.Seg_meta.make
-                    ~attrs:
-                      [
-                        ( "hot",
-                          Metadata.Value.Str (if hot then "yes" else "no") );
-                        ("tone", Metadata.Value.Str shard_tones.((i + v) mod 4));
-                      ]
-                    ())
-            in
-            Video_model.Video.two_level
-              ~title:(Printf.sprintf "reel-%02d" v)
-              metas)))
-
-(* distinct formulas so the scaling measurement is all cache misses over
-   a warm index registry — the steady state of a fresh query stream *)
-let shard_scale_queries =
-  [
-    "seg.hot = \"yes\"";
-    "seg.tone = \"warm\"";
-    "seg.tone = \"cold\"";
-    "seg.tone = \"tense\"";
-    "seg.hot = \"yes\" and seg.tone = \"warm\"";
-    "seg.hot = \"yes\" and seg.tone = \"cold\"";
-  ]
-
-type shard_scale_row = {
-  g_shards : int; (* requested *)
-  g_actual : int;
-  g_build_s : float; (* partition + shard contexts *)
-  g_time_s : float; (* the whole query set, warm registry *)
-  g_queries : int;
-}
-
-let shard_scale_row store shards =
-  let sh, build_s = time (fun () -> Sharded.create ~shards store) in
-  (* build every shard's leaf index outside the measurement *)
-  ignore (Sharded.run_string sh "seg.tone = \"flat\"");
-  let fs = List.map parse shard_scale_queries in
-  let (), time_s =
-    time (fun () -> List.iter (fun f -> ignore (Sharded.run sh f)) fs)
-  in
-  {
-    g_shards = shards;
-    g_actual = Sharded.shard_count sh;
-    g_build_s = build_s;
-    g_time_s = time_s;
-    g_queries = List.length fs;
-  }
-
-let print_shard_scale_rows rows =
-  Printf.printf "%-8s %-8s %12s %12s %8s\n" "Shards" "Actual" "Build (s)"
-    "Queries (s)" "Queries";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8d %-8d %12.6f %12.6f %8d\n%!" r.g_shards r.g_actual
-        r.g_build_s r.g_time_s r.g_queries)
-    rows
-
-type shard_load_row = {
-  w_shards : int;
-  w_rounds : int;
-  w_queries : int; (* total across rounds *)
-  w_time_s : float;
-  w_qps : float;
-}
-
-(* one edit, then the round's queries: the edit invalidates the owning
-   shard only, so sibling shards answer from their warm caches *)
-let shard_load_row store shards =
-  let sh = Sharded.create ~shards store in
-  ignore (Sharded.run_string sh "seg.tone = \"flat\"");
-  let fs =
-    List.map parse
-      [
-        "seg.hot = \"yes\"";
-        "seg.tone = \"warm\"";
-        "seg.hot = \"yes\" and seg.tone = \"warm\"";
-      ]
-  in
-  let level = Sharded.levels sh in
-  let segments = Sharded.count_at sh ~level in
-  let rounds = 4 in
-  let (), time_s =
-    time (fun () ->
-        for r = 1 to rounds do
-          let id = 1 + (r * 249_989 mod segments) in
-          Sharded.set_attr sh ~level ~id ~name:"mark"
-            (Metadata.Value.Str (string_of_int r));
-          List.iter (fun f -> ignore (Sharded.run sh f)) fs
-        done)
-  in
-  let queries = rounds * List.length fs in
-  {
-    w_shards = shards;
-    w_rounds = rounds;
-    w_queries = queries;
-    w_time_s = time_s;
-    w_qps = float_of_int queries /. Float.max 1e-12 time_s;
-  }
-
-let print_shard_load_rows rows =
-  Printf.printf "%-8s %-8s %-8s %12s %12s\n" "Shards" "Rounds" "Queries"
-    "Time (s)" "QPS";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8d %-8d %-8d %12.6f %12.2f\n%!" r.w_shards r.w_rounds
-        r.w_queries r.w_time_s r.w_qps)
-    rows
-
-type shard_snap_row = {
-  n_name : string;
-  n_shards : int;
-  n_bytes : int;
-  n_write_s : float;
-  n_load_s : float;
-  n_first_query_s : float;
-  n_cold_s : float; (* load + first query: the cold-start latency *)
-  n_builds : int; (* index builds that first query triggered *)
-}
-
-(* Cold starts are best-of-3 (as the cache bench's cold timings are
-   best-of-5): this host's throughput swings several-fold between runs,
-   and the interesting number is what the code costs, not what the
-   noisiest co-tenant moment costs.  Each trial is a full load plus the
-   first query on the loaded data, from a compacted heap. *)
-let shard_cold_trials = 3
-
-let best_cold_trial trial =
-  let rec go best n =
-    if n = 0 then best
-    else
-      let t = trial () in
-      let best =
-        match best with
-        | Some (b : shard_snap_row) when b.n_cold_s <= t.n_cold_s -> Some b
-        | _ -> Some t
-      in
-      go best (n - 1)
-  in
-  match go None shard_cold_trials with Some r -> r | None -> assert false
-
-let shard_snapshot_rows store =
-  (* the 25%-selectivity query: a representative first request, and the
-     list-size regime where per-shard evaluation pays off *)
-  let query = "seg.tone = \"warm\"" in
-  let binary =
-    let path = Filename.temp_file "htl_bench" ".snap" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        let sh = Sharded.create ~shards:4 store in
-        let (), write_s = time (fun () -> Sharded.save_snapshot sh path) in
-        let bytes = (Unix.stat path).Unix.st_size in
-        best_cold_trial (fun () ->
-            Gc.compact ();
-            let m = Obs.Metrics.create () in
-            let sh2, load_s =
-              time (fun () -> Sharded.load_snapshot ~metrics:m path)
-            in
-            let _, fq_s = time (fun () -> Sharded.run_string sh2 query) in
-            {
-              n_name = "binary-snapshot";
-              n_shards = 4;
-              n_bytes = bytes;
-              n_write_s = write_s;
-              n_load_s = load_s;
-              n_first_query_s = fq_s;
-              n_cold_s = load_s +. fq_s;
-              n_builds = Obs.Metrics.counter_value m "picture.index.builds";
-            }))
-  in
-  let reingest =
-    let path = Filename.temp_file "htl_bench" ".store" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        let (), write_s = time (fun () -> Storage.Io.save_store path store) in
-        let bytes = (Unix.stat path).Unix.st_size in
-        best_cold_trial (fun () ->
-            Gc.compact ();
-            let m = Obs.Metrics.create () in
-            let ctx, load_s =
-              time (fun () ->
-                  Engine.Context.of_store ~metrics:m
-                    (Storage.Io.load_store path))
-            in
-            let _, fq_s = time (fun () -> Engine.Query.run_string ctx query) in
-            {
-              n_name = "sexp-reingest";
-              n_shards = 1;
-              n_bytes = bytes;
-              n_write_s = write_s;
-              n_load_s = load_s;
-              n_first_query_s = fq_s;
-              n_cold_s = load_s +. fq_s;
-              n_builds = Obs.Metrics.counter_value m "picture.index.builds";
-            }))
-  in
-  [ binary; reingest ]
-
-let print_shard_snap_rows rows =
-  Printf.printf "%-18s %-8s %12s %10s %10s %12s %10s %7s\n" "Name" "Shards"
-    "Bytes" "Write (s)" "Load (s)" "1st qry (s)" "Cold (s)" "Builds";
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %-8d %12d %10.3f %10.3f %12.6f %10.3f %7d\n%!"
-        r.n_name r.n_shards r.n_bytes r.n_write_s r.n_load_s r.n_first_query_s
-        r.n_cold_s r.n_builds)
-    rows
-
-let shards_json ~segments ~videos scale_rows load_rows snap_rows =
-  let scale r =
-    Json.Obj
-      [
-        ("shards", Json.Int r.g_shards);
-        ("actual_shards", Json.Int r.g_actual);
-        ("build_s", Json.Float r.g_build_s);
-        ("time_s", Json.Float r.g_time_s);
-        ("queries", Json.Int r.g_queries);
-        ("gate", Json.String "time_s");
-      ]
-  in
-  let load r =
-    Json.Obj
-      [
-        ("shards", Json.Int r.w_shards);
-        ("rounds", Json.Int r.w_rounds);
-        ("queries", Json.Int r.w_queries);
-        ("time_s", Json.Float r.w_time_s);
-        ("qps", Json.Float r.w_qps);
-        ("gate", Json.String "qps:higher");
-      ]
-  in
-  let snap r =
-    Json.Obj
-      [
-        ("name", Json.String r.n_name);
-        ("shards", Json.Int r.n_shards);
-        ("bytes", Json.Int r.n_bytes);
-        ("write_s", Json.Float r.n_write_s);
-        ("load_s", Json.Float r.n_load_s);
-        ("first_query_s", Json.Float r.n_first_query_s);
-        ("cold_s", Json.Float r.n_cold_s);
-        ("builds", Json.Int r.n_builds);
-        ("gate", Json.String "cold_s");
-      ]
-  in
-  Json.Obj
-    [
-      ("bench", Json.String "shards");
-      ("segments", Json.Int segments);
-      ("videos", Json.Int videos);
-      ( "note",
-        Json.String
-          "scaling: a fixed warm-registry query set over the 1M-leaf \
-           corpus at each shard count; workload: rounds of one edit \
-           followed by queries, where sharding confines cache and index \
-           invalidation to the touched shard; snapshot: binary \
-           cold-start (load + first query, builds = 0) vs sexp \
-           re-ingestion (parse + index rebuild); times in seconds" );
-      ("scaling", Json.Array (List.map scale scale_rows));
-      ("workload", Json.Array (List.map load load_rows));
-      ("snapshot", Json.Array (List.map snap snap_rows));
-    ]
-
-let shards_data () =
-  let store = Lazy.force shard_corpus in
-  let level = Video_model.Store.levels store in
-  let segments = Video_model.Store.count_at store ~level in
-  Printf.printf "Corpus: %d videos, %d leaf segments\n%!" shard_videos
-    segments;
-  Printf.printf "\nScaling (warm registries, %d fresh queries)\n"
-    (List.length shard_scale_queries);
-  let scale_rows = List.map (shard_scale_row store) [ 1; 2; 4; 8 ] in
-  print_shard_scale_rows scale_rows;
-  Printf.printf "\nMutate/query workload (partition-isolated invalidation)\n";
-  let load_rows = List.map (shard_load_row store) [ 1; 4 ] in
-  print_shard_load_rows load_rows;
-  (match load_rows with
-  | [ unsharded; sharded ] ->
-      Printf.printf "4-shard vs unsharded qps: %.2fx\n%!"
-        (sharded.w_qps /. Float.max 1e-12 unsharded.w_qps)
-  | _ -> ());
-  Printf.printf "\nSnapshot cold start vs sexp re-ingestion\n";
-  let snap_rows = shard_snapshot_rows store in
-  print_shard_snap_rows snap_rows;
-  (match snap_rows with
-  | [ binary; reingest ] ->
-      Printf.printf "cold-start speedup: %.1fx (binary %.3f s vs sexp %.3f s)\n%!"
-        (reingest.n_cold_s /. Float.max 1e-12 binary.n_cold_s)
-        binary.n_cold_s reingest.n_cold_s
-  | _ -> ());
-  (segments, shard_videos, scale_rows, load_rows, snap_rows)
-
-let bench_shards () =
-  header "Shards - million-segment scatter-gather, snapshots";
-  let segments, videos, scale_rows, load_rows, snap_rows = shards_data () in
-  let path = Option.value ~default:"BENCH_shards.json" !opt_json in
-  write_json path (shards_json ~segments ~videos scale_rows load_rows snap_rows)
-
-(* ---- ingest: streaming appends against a warm deployment -----------------------
-
-   A 3-level corpus (movies > scenes > shots) takes rounds of leaf
-   appends interleaved with a fixed query set: two shot-level queries
-   (stale after every append — they recompute over a delta-merged
-   index, never a rebuild) and two scene-level queries (non-descending,
-   so extent-scoped invalidation keeps their cache entries warm across
-   leaf appends).  Three arms: "warm" keeps one live deployment across
-   all rounds, "rebuild" pays a from-scratch context per round (the
-   pre-incremental behaviour), "sharded" routes every append to the
-   last of 4 shards while the siblings stay warm.  Gated on qps
-   (higher); hits/builds/delta_merges make the invalidation story
-   auditable in the committed JSON. *)
-
-let ingest_tones = [| "warm"; "cold"; "tense"; "flat" |]
-
-let ingest_shot_meta i =
-  Metadata.Seg_meta.make
-    ~attrs:
-      [
-        ("tone", Metadata.Value.Str ingest_tones.(i mod 4));
-        ("hot", Metadata.Value.Str (if i mod 10 = 0 then "yes" else "no"));
-      ]
-    ()
-
-let ingest_corpus () =
-  Video_model.Store.create
-    (List.init 6 (fun v ->
-         let scenes =
-           List.init 4 (fun s ->
-               let shots =
-                 List.init 40 (fun i ->
-                     Video_model.Segment.leaf
-                       (ingest_shot_meta ((v * 131) + (s * 17) + i)))
-               in
-               Video_model.Segment.make
-                 ~meta:
-                   (Metadata.Seg_meta.make
-                      ~attrs:
-                        [
-                          ( "kind",
-                            Metadata.Value.Str
-                              (if (v + s) mod 2 = 0 then "action" else "calm")
-                          );
-                        ]
-                      ())
-                 shots)
-         in
-         Video_model.Video.create
-           ~title:(Printf.sprintf "film-%d" v)
-           ~level_names:[ "movie"; "scene"; "shot" ]
-           (Video_model.Segment.make scenes)))
-
-let ingest_shot_queries =
-  [ "seg.tone = \"warm\""; "seg.hot = \"yes\" and seg.tone = \"tense\"" ]
-
-let ingest_scene_queries = [ "seg.kind = \"action\""; "seg.kind = \"calm\"" ]
-
-let ingest_rounds = 6
-let ingest_batch = 16 (* leaves appended per round *)
-
-type ingest_row = {
-  in_name : string;
-  in_rounds : int;
-  in_appended : int; (* per round *)
-  in_queries : int; (* total, timed *)
-  in_time_s : float;
-  in_qps : float;
-  in_hits : int;
-  in_misses : int;
-  in_hit_rate : float;
-  in_builds : int; (* during the timed rounds; flat = incremental *)
-  in_delta_merges : int;
-}
-
-let ingest_row_of ~name ~metrics ~queries f =
-  let hits0 = Obs.Metrics.counter_value metrics "cache.hits" in
-  let misses0 = Obs.Metrics.counter_value metrics "cache.misses" in
-  let builds0 = Obs.Metrics.counter_value metrics "picture.index.builds" in
-  let merges0 = Obs.Metrics.counter_value metrics "picture.index.delta_merges" in
-  let (), time_s = time f in
-  let hits = Obs.Metrics.counter_value metrics "cache.hits" - hits0 in
-  let misses = Obs.Metrics.counter_value metrics "cache.misses" - misses0 in
-  let probes = hits + misses in
-  {
-    in_name = name;
-    in_rounds = ingest_rounds;
-    in_appended = ingest_batch;
-    in_queries = queries;
-    in_time_s = time_s;
-    in_qps = float_of_int queries /. Float.max 1e-12 time_s;
-    in_hits = hits;
-    in_misses = misses;
-    in_hit_rate =
-      (if probes = 0 then 0. else float_of_int hits /. float_of_int probes);
-    in_builds = Obs.Metrics.counter_value metrics "picture.index.builds" - builds0;
-    in_delta_merges =
-      Obs.Metrics.counter_value metrics "picture.index.delta_merges" - merges0;
-  }
-
-let ingest_metas round =
-  List.init ingest_batch (fun i -> ingest_shot_meta ((round * 977) + i))
-
-let ingest_warm_row () =
-  let store = ingest_corpus () in
-  let metrics = Obs.Metrics.create () in
-  let shot_ctx = Engine.Context.of_store ~metrics store in
-  let scene_ctx = Engine.Context.of_store ~level:2 ~metrics store in
-  let shot_fs = List.map parse ingest_shot_queries in
-  let scene_fs = List.map parse ingest_scene_queries in
-  let run_set () =
-    List.iter (fun f -> ignore (Engine.Query.run shot_ctx f)) shot_fs;
-    List.iter (fun f -> ignore (Engine.Query.run scene_ctx f)) scene_fs
-  in
-  run_set ();
-  (* warmup: builds the indexes, fills both caches *)
-  let queries =
-    ingest_rounds * (List.length shot_fs + List.length scene_fs)
-  in
-  ingest_row_of ~name:"warm" ~metrics ~queries (fun () ->
-      for round = 1 to ingest_rounds do
-        Video_model.Store.append_segments store (ingest_metas round);
-        run_set ()
-      done)
-
-let ingest_rebuild_row () =
-  let store = ingest_corpus () in
-  let metrics = Obs.Metrics.create () in
-  let shot_fs = List.map parse ingest_shot_queries in
-  let scene_fs = List.map parse ingest_scene_queries in
-  let queries =
-    ingest_rounds * (List.length shot_fs + List.length scene_fs)
-  in
-  ingest_row_of ~name:"rebuild" ~metrics ~queries (fun () ->
-      for round = 1 to ingest_rounds do
-        Video_model.Store.append_segments store (ingest_metas round);
-        (* the pre-incremental cost: a fresh context (cold cache, cold
-           registry) per batch of appends *)
-        let shot_ctx = Engine.Context.of_store ~metrics store in
-        let scene_ctx = Engine.Context.of_store ~level:2 ~metrics store in
-        List.iter (fun f -> ignore (Engine.Query.run shot_ctx f)) shot_fs;
-        List.iter (fun f -> ignore (Engine.Query.run scene_ctx f)) scene_fs
-      done)
-
-let ingest_sharded_row () =
-  let store = ingest_corpus () in
-  let metrics = Obs.Metrics.create () in
-  let sh = Sharded.create ~shards:4 ~metrics store in
-  let shot_fs = List.map parse ingest_shot_queries in
-  let scene_fs = List.map parse ingest_scene_queries in
-  let run_set () =
-    List.iter (fun f -> ignore (Sharded.run sh f)) shot_fs;
-    (* the scene-level handle pins its extents, so derive it after the
-       round's appends; the underlying caches are shared, and leaf
-       appends leave scene extents untouched, so its entries survive *)
-    let scenes = Sharded.with_level sh ~level:2 in
-    List.iter (fun f -> ignore (Sharded.run scenes f)) scene_fs
-  in
-  run_set ();
-  let queries =
-    ingest_rounds * (List.length shot_fs + List.length scene_fs)
-  in
-  ingest_row_of ~name:"sharded" ~metrics ~queries (fun () ->
-      for round = 1 to ingest_rounds do
-        Sharded.append_segments sh (ingest_metas round);
-        run_set ()
-      done)
-
-let ingest_rows () =
-  [ ingest_warm_row (); ingest_rebuild_row (); ingest_sharded_row () ]
-
-let print_ingest_rows rows =
-  Printf.printf "%-10s %7s %9s %8s %12s %10s %7s %7s %9s %7s %7s\n" "Arm"
-    "Rounds" "Appended" "Queries" "Time (s)" "QPS" "Hits" "Misses" "Hit-rate"
-    "Builds" "Merges";
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %7d %9d %8d %12.6f %10.1f %7d %7d %9.2f %7d %7d\n%!"
-        r.in_name r.in_rounds r.in_appended r.in_queries r.in_time_s r.in_qps
-        r.in_hits r.in_misses r.in_hit_rate r.in_builds r.in_delta_merges)
-    rows
-
-let ingest_json rows =
-  let row r =
-    Json.Obj
-      [
-        ("name", Json.String r.in_name);
-        ("rounds", Json.Int r.in_rounds);
-        ("appended_per_round", Json.Int r.in_appended);
-        ("queries", Json.Int r.in_queries);
-        ("time_s", Json.Float r.in_time_s);
-        ("qps", Json.Float r.in_qps);
-        ("hits", Json.Int r.in_hits);
-        ("misses", Json.Int r.in_misses);
-        ("hit_rate", Json.Float r.in_hit_rate);
-        ("builds", Json.Int r.in_builds);
-        ("delta_merges", Json.Int r.in_delta_merges);
-        ("gate", Json.String "qps:higher");
-      ]
-  in
-  Json.Obj
-    [
-      ("bench", Json.String "ingest");
-      ( "note",
-        Json.String
-          "rounds of leaf appends interleaved with shot- and scene-level \
-           queries over a 3-level corpus; warm = one live deployment \
-           (delta-merged indexes, extent-scoped cache survival), rebuild = \
-           fresh context per round, sharded = appends routed to the last of \
-           4 shards; gated on qps (higher), counters are informational" );
-      ("rows", Json.Array (List.map row rows));
-    ]
-
-let bench_ingest () =
-  header "Ingest - streaming appends against a warm deployment";
-  let rows = ingest_rows () in
-  print_ingest_rows rows;
-  let path = Option.value ~default:"BENCH_ingest.json" !opt_json in
-  write_json path (ingest_json rows)
 
 (* ---- cost-based planner: join order and backend choice --------------------------
 
@@ -1884,10 +1151,10 @@ let bench_ingest () =
 type plan_data = {
   pd_segments : int;
   pd_queries : int;
-  pd_written_p50 : float;
-  pd_planned_p50 : float;
-  pd_sql_p50 : float;
-  pd_auto_p50 : float;
+  pd_written : timing;  (* per chain, each arm *)
+  pd_planned : timing;
+  pd_sql : timing;
+  pd_auto : timing;
   pd_identical : bool;
 }
 
@@ -1933,28 +1200,33 @@ let plan_data () =
       ~object_pool:12 ()
   in
   let warm_queries, queries = plan_formula_pool () in
-  let reps = 3 in
   let base ?planner () =
     Engine.Context.with_fresh_cache
       (Engine.Context.of_store ?planner store)
   in
-  let measure ?backend ctx_of =
-    let lats = ref [] in
-    for _ = 1 to reps do
+  (* one operation is the whole chain pool on a fresh context whose
+     conjunct tables were warmed outside the timed region; reported per
+     chain *)
+  let fs = List.map parse queries in
+  let per_chain ?samples ?backend ctx_of =
+    let fresh () =
       let ctx = ctx_of () in
       List.iter
         (fun q -> ignore (Engine.Query.run_string ?backend ctx q))
         warm_queries;
-      List.iter
-        (fun q ->
-          let f = parse q in
-          let _, t = time (fun () -> Engine.Query.run ?backend ctx f) in
-          lats := t :: !lats)
-        queries
-    done;
-    let arr = Array.of_list !lats in
-    Array.sort compare arr;
-    percentile arr 0.50
+      ctx
+    in
+    let t =
+      measure ?samples ~fresh (fun ctx ->
+          List.iter (fun f -> ignore (Engine.Query.run ?backend ctx f)) fs)
+    in
+    let k = float_of_int (List.length fs) in
+    {
+      median_s = t.median_s /. k;
+      q1_s = t.q1_s /. k;
+      q3_s = t.q3_s /. k;
+      words = t.words /. k;
+    }
   in
   let identical =
     let planned = base () and written = base ~planner:false () in
@@ -1966,34 +1238,34 @@ let plan_data () =
           (Engine.Query.run written f))
       queries
   in
-  let written_p50 = measure (fun () -> base ~planner:false ()) in
-  let planned_p50 = measure (fun () -> base ()) in
-  let sql_p50 =
-    measure ~backend:Engine.Query.Sql_backend_choice (fun () -> base ())
-  in
   let stats = Obs.Stats.create () in
-  let auto_p50 =
-    measure ~backend:Engine.Query.Auto_backend (fun () ->
-        Engine.Context.with_stats (base ()) stats)
-  in
   {
     pd_segments = Engine.Context.segment_count (base ());
     pd_queries = List.length queries;
-    pd_written_p50 = written_p50;
-    pd_planned_p50 = planned_p50;
-    pd_sql_p50 = sql_p50;
-    pd_auto_p50 = auto_p50;
+    pd_written = per_chain (fun () -> base ~planner:false ());
+    pd_planned = per_chain base;
+    (* an SQL pass takes seconds: three samples keep the section as
+       long as the direct arms' seven *)
+    pd_sql =
+      per_chain ~samples:3 ~backend:Engine.Query.Sql_backend_choice base;
+    pd_auto =
+      per_chain ~backend:Engine.Query.Auto_backend (fun () ->
+          Engine.Context.with_stats (base ()) stats);
     pd_identical = identical;
   }
 
+let join_speedup d = speedup ~slow:d.pd_written ~fast:d.pd_planned
+
+let auto_margin d =
+  let worse_fixed =
+    if d.pd_planned.median_s >= d.pd_sql.median_s then d.pd_planned
+    else d.pd_sql
+  in
+  speedup ~slow:worse_fixed ~fast:d.pd_auto
+
 let plan_json d =
-  let lat name v =
-    Json.Obj
-      [
-        ("name", Json.String name);
-        ("p50_s", Json.Float v);
-        ("gate", Json.String "p50_s");
-      ]
+  let lat name t =
+    Json.Obj [ ("name", Json.String name); ("time", timing_json t) ]
   in
   let ratio name v =
     Json.Obj
@@ -2003,35 +1275,36 @@ let plan_json d =
         ("gate", Json.String "ratio:higher");
       ]
   in
-  let worse_fixed = Float.max d.pd_planned_p50 d.pd_sql_p50 in
   Json.Obj
     [
       ("bench", Json.String "plan");
       ( "note",
         Json.String
-          "skewed dense-first type (2) And chains over a store, conjunct \
-           tables pre-warmed: with the planner off the chain folds in \
-           written order, dense-coverage first; the planner folds \
-           sparsest-first; gated on p50 latency, the speedup row (written \
-           over planned join order) and the auto margin (worse fixed \
-           backend over auto) gate as ratios (higher)" );
+          (timing_note
+         ^ "; skewed dense-first type (2) And chains over a store, \
+            conjunct tables pre-warmed, timed per chain over the whole \
+            pool: with the planner off the chain folds in written order, \
+            dense-coverage first; the planner folds sparsest-first; the \
+            speedup row (written over planned join order) and the auto \
+            margin (worse fixed backend over auto) gate as ratios \
+            (higher)" ) );
       ("segments", Json.Int d.pd_segments);
       ("queries", Json.Int d.pd_queries);
       ("results_identical", Json.Bool d.pd_identical);
       ( "join",
         Json.Array
           [
-            lat "written" d.pd_written_p50;
-            lat "planned" d.pd_planned_p50;
-            ratio "speedup" (d.pd_written_p50 /. d.pd_planned_p50);
+            lat "written" d.pd_written;
+            lat "planned" d.pd_planned;
+            ratio "speedup" (join_speedup d);
           ] );
       ( "backend",
         Json.Array
           [
-            lat "direct" d.pd_planned_p50;
-            lat "sql" d.pd_sql_p50;
-            lat "auto" d.pd_auto_p50;
-            ratio "auto_margin" (worse_fixed /. d.pd_auto_p50);
+            lat "direct" d.pd_planned;
+            lat "sql" d.pd_sql;
+            lat "auto" d.pd_auto;
+            ratio "auto_margin" (auto_margin d);
           ] );
     ]
 
@@ -2043,19 +1316,19 @@ let bench_plan () =
     prerr_endline "plan: planned and written-order results differ";
     exit 1
   end;
-  Printf.printf "%-12s %12s\n%!" "arm" "p50 (ms)";
+  Printf.printf "%-12s %12s\n%!" "arm" "ms/chain";
   List.iter
-    (fun (name, v) -> Printf.printf "%-12s %12.3f\n%!" name (v *. 1e3))
+    (fun (name, t) -> Printf.printf "%-12s %12.3f\n%!" name (t.median_s *. 1e3))
     [
-      ("written", d.pd_written_p50);
-      ("planned", d.pd_planned_p50);
-      ("sql", d.pd_sql_p50);
-      ("auto", d.pd_auto_p50);
+      ("written", d.pd_written);
+      ("planned", d.pd_planned);
+      ("sql", d.pd_sql);
+      ("auto", d.pd_auto);
     ];
   Printf.printf "join speedup (written / planned):    %.2fx\n%!"
-    (d.pd_written_p50 /. d.pd_planned_p50);
+    (join_speedup d);
   Printf.printf "auto margin (worse fixed / auto):    %.2fx\n%!"
-    (Float.max d.pd_planned_p50 d.pd_sql_p50 /. d.pd_auto_p50);
+    (auto_margin d);
   let path = Option.value ~default:"BENCH_plan.json" !opt_json in
   write_json path (plan_json d)
 
@@ -2063,13 +1336,14 @@ let bench_plan () =
 
    Re-runs the benchmark section a committed BENCH_*.json baseline came
    from, writes the fresh report next to it as BENCH_<kind>.fresh.json
-   (never clobbering the baseline), and compares the timing fields row by
-   row.  A fresh time is a regression when it exceeds
-   [base * (1 + tolerance) + 1e-12]; any regression exits 1, which is
-   what CI keys off.  Rows are matched by their identity fields; a
-   baseline row the fresh run no longer produces is reported and
-   skipped, not failed — renaming a query should be a diff in review,
-   not a broken gate. *)
+   (never clobbering the baseline), and compares the gated fields row by
+   row.  A timed field gates on its median; a fresh median is a
+   regression when it exceeds [base * (1 + tolerance) + 1e-12].  Any
+   regression exits 1, which is what CI keys off.  Rows are matched by
+   their identity fields; a baseline row or field the fresh run no
+   longer produces is reported and skipped, but a check that compared
+   nothing at all exits 1 too: a gate whose fields were all renamed
+   away must not read as a pass. *)
 
 let opt_check = ref false
 let opt_baseline = ref None
@@ -2114,11 +1388,20 @@ let gated_fields row ~fields =
         (String.split_on_char ',' spec)
   | _ -> List.map (fun f -> (f, false)) fields
 
-(* Compare one row list.  Returns the number of regressions. *)
+(* a timed field is a [timing_json] object and gates on its median; a
+   plain number gates as itself *)
+let gated_value row field =
+  match Json.member field row with
+  | Some (Json.Obj _ as t) ->
+      Option.bind (Json.member "median_s" t) Json.to_float_opt
+  | Some v -> Json.to_float_opt v
+  | None -> None
+
+(* Compare one row list.  Returns (fields compared, regressions). *)
 let check_rows ~tolerance ~what ~keys ~fields ~base ~fresh =
   let fresh_tbl = Hashtbl.create 16 in
   List.iter (fun r -> Hashtbl.replace fresh_tbl (row_key keys r) r) fresh;
-  let failures = ref 0 in
+  let compared = ref 0 and failures = ref 0 in
   List.iter
     (fun b ->
       let key = row_key keys b in
@@ -2128,11 +1411,9 @@ let check_rows ~tolerance ~what ~keys ~fields ~base ~fresh =
       | Some f ->
           List.iter
             (fun (field, higher) ->
-              match
-                ( Option.bind (Json.member field b) Json.to_float_opt,
-                  Option.bind (Json.member field f) Json.to_float_opt )
-              with
+              match (gated_value b field, gated_value f field) with
               | Some bv, Some fv ->
+                  incr compared;
                   let failed, allowed =
                     if higher then
                       let floor = (bv /. (1. +. tolerance)) -. 1e-12 in
@@ -2155,23 +1436,50 @@ let check_rows ~tolerance ~what ~keys ~fields ~base ~fresh =
                     key field)
             (gated_fields b ~fields))
     base;
-  !failures
+  (!compared, !failures)
 
-let fresh_report = function
-  | "cache" -> Some (cache_json (cache_rows ()))
-  | "trace" -> Some (trace_json (trace_rows ()))
+(* Per bench kind: the fresh report, and the row lists its gate compares
+   as (member, what, identity keys, default gated fields). *)
+let gates = function
+  | "cache" ->
+      Some
+        ( (fun () -> cache_json (cache_rows ())),
+          [ ("rows", "cache", [ "workload"; "name" ], [ "cold"; "warm" ]) ] )
+  | "trace" ->
+      Some
+        ( (fun () -> trace_json (trace_rows ())),
+          [ ("rows", "trace", [ "workload"; "name" ], [ "off"; "traced" ]) ] )
   | "parallel" ->
-      let cores, segments, rows, batch_rows = parallel_data () in
-      Some (parallel_json ~cores ~segments rows batch_rows)
+      Some
+        ( (fun () ->
+            let cores, segments, rows, batch_rows = parallel_data () in
+            parallel_json ~cores ~segments rows batch_rows),
+          [
+            ("rows", "parallel", [ "workload"; "name"; "domains" ], [ "time" ]);
+            ("batch", "batch", [ "domains" ], [ "time" ]);
+          ] )
   | "index" ->
-      let segments, reg_rows, prune_rows, sweep_rows = index_data () in
-      Some (index_json ~segments reg_rows prune_rows sweep_rows)
-  | "serve" -> Some (serve_json (serve_data ()))
-  | "ingest" -> Some (ingest_json (ingest_rows ()))
-  | "plan" -> Some (plan_json (plan_data ()))
-  | "shards" ->
-      let segments, videos, scale_rows, load_rows, snap_rows = shards_data () in
-      Some (shards_json ~segments ~videos scale_rows load_rows snap_rows)
+      Some
+        ( (fun () ->
+            let segments, reg_rows, prune_rows, sweep_rows = index_data () in
+            index_json ~segments reg_rows prune_rows sweep_rows),
+          [
+            ("registry", "registry", [ "name" ], [ "cold"; "warm" ]);
+            ("pruning", "pruning", [ "name" ], [ "pruned"; "full" ]);
+            ( "selectivity",
+              "selectivity",
+              [ "selectivity" ],
+              [ "pruned"; "full" ] );
+          ] )
+  | "plan" ->
+      (* the join speedup and auto margin rows carry their own gate
+         key, ratio:higher *)
+      Some
+        ( (fun () -> plan_json (plan_data ())),
+          [
+            ("join", "join", [ "name" ], [ "time" ]);
+            ("backend", "backend", [ "name" ], [ "time" ]);
+          ] )
   | _ -> None
 
 let run_check () =
@@ -2203,170 +1511,45 @@ let run_check () =
         Printf.eprintf "%s has no \"bench\" kind field\n" baseline;
         exit 2
   in
-  let fresh =
-    match fresh_report kind with
-    | Some doc -> doc
+  let report, lists =
+    match gates kind with
+    | Some g -> g
     | None ->
         Printf.eprintf
           "no regression gate for bench kind %S (expected cache, parallel, \
-           trace, index, serve, ingest, plan or shards)\n"
+           trace, index or plan)\n"
           kind;
         exit 2
   in
-  let fresh_path = Printf.sprintf "BENCH_%s.fresh.json" kind in
-  write_json fresh_path fresh;
+  let fresh = report () in
+  write_json (Printf.sprintf "BENCH_%s.fresh.json" kind) fresh;
   let tolerance = !opt_tolerance in
   Printf.printf "checking %s against %s (tolerance %g)\n%!" kind baseline
     tolerance;
-  let failures =
-    match kind with
-    | "cache" ->
-        check_rows ~tolerance ~what:"cache" ~keys:[ "workload"; "name" ]
-          ~fields:[ "cold_s"; "warm_s" ]
-          ~base:(member_rows base "rows") ~fresh:(member_rows fresh "rows")
-    | "trace" ->
-        check_rows ~tolerance ~what:"trace" ~keys:[ "workload"; "name" ]
-          ~fields:[ "off_s"; "traced_s" ]
-          ~base:(member_rows base "rows") ~fresh:(member_rows fresh "rows")
-    | "parallel" ->
-        check_rows ~tolerance ~what:"parallel"
-          ~keys:[ "workload"; "name"; "domains" ] ~fields:[ "time_s" ]
-          ~base:(member_rows base "rows") ~fresh:(member_rows fresh "rows")
-        + check_rows ~tolerance ~what:"batch" ~keys:[ "domains" ]
-            ~fields:[ "time_s" ]
-            ~base:(member_rows base "batch") ~fresh:(member_rows fresh "batch")
-    | "index" ->
-        check_rows ~tolerance ~what:"registry" ~keys:[ "name" ]
-          ~fields:[ "cold_s"; "warm_s" ]
-          ~base:(member_rows base "registry")
-          ~fresh:(member_rows fresh "registry")
-        + check_rows ~tolerance ~what:"pruning" ~keys:[ "name" ]
-            ~fields:[ "pruned_s"; "full_s" ]
-            ~base:(member_rows base "pruning")
-            ~fresh:(member_rows fresh "pruning")
-        + check_rows ~tolerance ~what:"selectivity" ~keys:[ "selectivity" ]
-            ~fields:[ "pruned_s"; "full_s" ]
-            ~base:(member_rows base "selectivity")
-            ~fresh:(member_rows fresh "selectivity")
-    | "serve" ->
-        (* p50 only: the GC makes p95/p99 tails too noisy to gate on.
-           The sample key keeps the traced (1-in-N) arm as its own
-           gated row, so tracing overhead regressions page too *)
-        check_rows ~tolerance ~what:"serve"
-          ~keys:[ "clients"; "domains"; "sample" ]
-          ~fields:[ "p50_s" ]
-          ~base:(member_rows base "rows") ~fresh:(member_rows fresh "rows")
-    | "ingest" ->
-        (* every row carries its own "gate" member (qps:higher) *)
-        check_rows ~tolerance ~what:"ingest" ~keys:[ "name" ]
-          ~fields:[ "qps" ]
-          ~base:(member_rows base "rows") ~fresh:(member_rows fresh "rows")
-    | "plan" ->
-        (* every row carries its own gate key: p50_s for the latency
-           arms, ratio:higher for the join speedup and auto margin *)
-        check_rows ~tolerance ~what:"join" ~keys:[ "name" ]
-          ~fields:[ "p50_s" ]
-          ~base:(member_rows base "join") ~fresh:(member_rows fresh "join")
-        + check_rows ~tolerance ~what:"backend" ~keys:[ "name" ]
-            ~fields:[ "p50_s" ]
-            ~base:(member_rows base "backend")
-            ~fresh:(member_rows fresh "backend")
-    | "shards" ->
-        (* every shards row carries its own gate key: time_s for the
-           scaling curve, qps:higher for the workload, cold_s for the
-           snapshot cold starts *)
-        check_rows ~tolerance ~what:"scaling" ~keys:[ "shards" ]
-          ~fields:[ "time_s" ]
-          ~base:(member_rows base "scaling")
-          ~fresh:(member_rows fresh "scaling")
-        + check_rows ~tolerance ~what:"workload" ~keys:[ "shards" ]
-            ~fields:[ "qps" ]
-            ~base:(member_rows base "workload")
-            ~fresh:(member_rows fresh "workload")
-        + check_rows ~tolerance ~what:"snapshot" ~keys:[ "name" ]
-            ~fields:[ "cold_s" ]
-            ~base:(member_rows base "snapshot")
-            ~fresh:(member_rows fresh "snapshot")
-    | _ -> assert false
+  let compared, failures =
+    List.fold_left
+      (fun (c, f) (member, what, keys, fields) ->
+        let c', f' =
+          check_rows ~tolerance ~what ~keys ~fields
+            ~base:(member_rows base member) ~fresh:(member_rows fresh member)
+        in
+        (c + c', f + f'))
+      (0, 0) lists
   in
-  if failures > 0 then begin
+  if compared = 0 then begin
+    Printf.printf "compared no fields: the baseline matches nothing fresh\n%!";
+    exit 1
+  end
+  else if failures > 0 then begin
     Printf.printf "%d timing regression(s) beyond tolerance %g\n%!" failures
       tolerance;
     exit 1
   end
   else begin
-    Printf.printf "no regressions (tolerance %g)\n%!" tolerance;
+    Printf.printf "compared %d fields\nno regressions (tolerance %g)\n%!"
+      compared tolerance;
     exit 0
   end
-
-(* ---- bechamel statistical benchmarks ------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let casablanca_ctx = cold (C.context ()) in
-  let q1 = parse C.query1 in
-  let n = 10_000 in
-  let synth_ctx =
-    cold
-      (Workload.Synthetic.context_with_atoms ~seed:4242 ~n [ "p1"; "p2"; "p3" ])
-  in
-  let sql = Engine.Sql_backend.create synth_ctx in
-  let f_and = parse "p1 and p2" and f_until = parse "p1 until p2" in
-  let merge_lists =
-    let rng = Workload.Rng.make 8 in
-    List.init 32 (fun _ ->
-        Workload.Synthetic.similarity_list rng ~n:20_000 ~selectivity:0.05 ())
-  in
-  [
-    Test.make ~name:"table3.eventually"
-      (Staged.stage (fun () ->
-           Engine.Query.run_string casablanca_ctx "eventually moving_train"));
-    Test.make ~name:"table4.query1.direct"
-      (Staged.stage (fun () -> Engine.Query.run casablanca_ctx q1));
-    Test.make ~name:"fig2.until_merge"
-      (Staged.stage (fun () ->
-           Sim_list.until_merge ~extents:(Simlist.Extent.single 300) fig2_g
-             fig2_h));
-    Test.make ~name:"table5.and.direct.10k"
-      (Staged.stage (fun () -> Engine.Query.run synth_ctx f_and));
-    Test.make ~name:"table5.and.sql.10k"
-      (Staged.stage (fun () -> Engine.Sql_backend.run sql synth_ctx f_and));
-    Test.make ~name:"table6.until.direct.10k"
-      (Staged.stage (fun () -> Engine.Query.run synth_ctx f_until));
-    Test.make ~name:"table6.until.sql.10k"
-      (Staged.stage (fun () -> Engine.Sql_backend.run sql synth_ctx f_until));
-    Test.make ~name:"ablation.merge.dc.32"
-      (Staged.stage (fun () -> Sim_list.merge_max merge_lists));
-    Test.make ~name:"ablation.merge.pairwise.32"
-      (Staged.stage (fun () -> Sim_list.merge_max_pairwise merge_lists));
-  ]
-
-let run_bechamel () =
-  header "Bechamel statistical benchmarks (ns per run, OLS estimate)";
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let tests = Test.make_grouped ~name:"htl_video" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> e
-          | Some [] | None -> Float.nan
-        in
-        (name, est) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) ->
-      Printf.printf "%-48s %14.0f ns/run  (%.3f ms)\n" name ns (ns /. 1e6))
-    (List.sort compare rows)
 
 (* ---- driver -------------------------------------------------------------------- *)
 
@@ -2384,10 +1567,7 @@ let sections =
     ("parallel", bench_parallel);
     ("trace", bench_trace);
     ("index", bench_index);
-    ("serve", bench_serve);
-    ("ingest", bench_ingest);
     ("plan", bench_plan);
-    ("shards", bench_shards);
     ("ablation-sort", ablation_sort);
     ("ablation-threshold", ablation_threshold);
     ("ablation-merge", ablation_merge);
@@ -2396,31 +1576,30 @@ let sections =
   ]
 
 let () =
-  let rec parse_args acc bechamel = function
-    | [] -> (List.rev acc, bechamel)
-    | "--bechamel" :: rest -> parse_args acc true rest
+  let rec parse_args acc = function
+    | [] -> List.rev acc
     | "--domains" :: v :: rest ->
         (match int_of_string_opt v with
         | Some d when d >= 1 -> opt_domains := Some d
         | Some _ | None ->
             Printf.eprintf "--domains expects a positive integer, got %S\n" v;
             exit 1);
-        parse_args acc bechamel rest
+        parse_args acc rest
     | [ "--domains" ] ->
         Printf.eprintf "--domains expects a value\n";
         exit 1
     | "--json" :: path :: rest ->
         opt_json := Some path;
-        parse_args acc bechamel rest
+        parse_args acc rest
     | [ "--json" ] ->
         Printf.eprintf "--json expects a path\n";
         exit 1
     | "--check" :: rest ->
         opt_check := true;
-        parse_args acc bechamel rest
+        parse_args acc rest
     | "--baseline" :: path :: rest ->
         opt_baseline := Some path;
-        parse_args acc bechamel rest
+        parse_args acc rest
     | [ "--baseline" ] ->
         Printf.eprintf "--baseline expects a path\n";
         exit 1
@@ -2430,13 +1609,13 @@ let () =
         | None ->
             Printf.eprintf "--tolerance expects a number, got %S\n" v;
             exit 1);
-        parse_args acc bechamel rest
+        parse_args acc rest
     | [ "--tolerance" ] ->
         Printf.eprintf "--tolerance expects a value\n";
         exit 1
-    | s :: rest -> parse_args (s :: acc) bechamel rest
+    | s :: rest -> parse_args (s :: acc) rest
   in
-  let wanted, bechamel = parse_args [] false (List.tl (Array.to_list Sys.argv)) in
+  let wanted = parse_args [] (List.tl (Array.to_list Sys.argv)) in
   if !opt_check then run_check ();
   let to_run =
     if wanted = [] then sections
@@ -2453,5 +1632,4 @@ let () =
   in
   Printf.printf
     "Similarity Based Retrieval of Videos (ICDE 1997) - benchmark harness\n";
-  List.iter (fun (_, f) -> f ()) to_run;
-  if bechamel then run_bechamel ()
+  List.iter (fun (_, f) -> f ()) to_run

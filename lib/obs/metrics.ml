@@ -15,19 +15,23 @@ let bucket_bounds =
 
 let bucket_count = Array.length bucket_bounds + 1 (* + overflow (+Inf) *)
 
+(* a loop, not a local recursive function: that would be a closure over
+   [v], allocated on every observation *)
 let bucket_index v =
-  let rec go i =
-    if i = Array.length bucket_bounds then i
-    else if v <= bucket_bounds.(i) then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length bucket_bounds && not (v <= bucket_bounds.(!i)) do
+    incr i
+  done;
+  !i
+
+(* The float aggregates sit in an all-float record, which OCaml stores
+   unboxed: as fields of the mixed [hist] record each observation would
+   box three fresh floats into a long-lived record. *)
+type hfloats = { mutable hsum : float; mutable hmin : float; mutable hmax : float }
 
 type hist = {
   mutable hcount : int;
-  mutable hsum : float;
-  mutable hmin : float;
-  mutable hmax : float;
+  hf : hfloats;
   hbuckets : int array; (* per-bucket (non-cumulative) counts *)
 }
 
@@ -73,9 +77,8 @@ let declare_histogram t name =
             (H
                {
                  hcount = 0;
-                 hsum = 0.;
-                 hmin = Float.infinity;
-                 hmax = Float.neg_infinity;
+                 hf =
+                   { hsum = 0.; hmin = Float.infinity; hmax = Float.neg_infinity };
                  hbuckets = Array.make bucket_count 0;
                }))
 
@@ -93,22 +96,32 @@ let set_gauge t name v =
       | Some _ -> kind_error name
       | None -> Hashtbl.add t.cells name (G (ref v)))
 
+(* No closure and no option on the hot path: an observation into an
+   existing histogram allocates nothing. *)
+let observe_locked t name v =
+  match Hashtbl.find t.cells name with
+  | H h ->
+      let f = h.hf in
+      h.hcount <- h.hcount + 1;
+      f.hsum <- f.hsum +. v;
+      if v < f.hmin then f.hmin <- v;
+      if v > f.hmax then f.hmax <- v;
+      let i = bucket_index v in
+      h.hbuckets.(i) <- h.hbuckets.(i) + 1
+  | C _ | G _ -> kind_error name
+  | exception Not_found ->
+      let hbuckets = Array.make bucket_count 0 in
+      hbuckets.(bucket_index v) <- 1;
+      Hashtbl.add t.cells name
+        (H { hcount = 1; hf = { hsum = v; hmin = v; hmax = v }; hbuckets })
+
 let observe t name v =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.cells name with
-      | Some (H h) ->
-          h.hcount <- h.hcount + 1;
-          h.hsum <- h.hsum +. v;
-          if v < h.hmin then h.hmin <- v;
-          if v > h.hmax then h.hmax <- v;
-          let i = bucket_index v in
-          h.hbuckets.(i) <- h.hbuckets.(i) + 1
-      | Some _ -> kind_error name
-      | None ->
-          let hbuckets = Array.make bucket_count 0 in
-          hbuckets.(bucket_index v) <- 1;
-          Hashtbl.add t.cells name
-            (H { hcount = 1; hsum = v; hmin = v; hmax = v; hbuckets }))
+  Mutex.lock t.mutex;
+  match observe_locked t name v with
+  | () -> Mutex.unlock t.mutex
+  | exception e ->
+      Mutex.unlock t.mutex;
+      raise e
 
 type histogram = {
   count : int;
@@ -142,9 +155,9 @@ let snapshot t =
                   Histogram
                     {
                       count = h.hcount;
-                      sum = h.hsum;
-                      min = h.hmin;
-                      max = h.hmax;
+                      sum = h.hf.hsum;
+                      min = h.hf.hmin;
+                      max = h.hf.hmax;
                       buckets;
                     }
             in

@@ -19,21 +19,27 @@
 
    The EWMA seeds at the first sample, then folds
    ewma' = alpha * x + (1 - alpha) * ewma — the scalar-fold oracle the
-   qcheck property checks against.  Quantiles use the nearest-rank
-   convention of bench/main.ml so the numbers compare directly. *)
+   qcheck property checks against.  Quantiles read the window at rank
+   floor(n * p), clamped to the last sample.
+
+   Every EWMA lives in an all-float record, which OCaml stores unboxed:
+   a float field of a mixed record is a pointer, so each update would
+   box a fresh float into a long-lived record and promote it. *)
+
+type ewma = { mutable ewma : float }
 
 type query_stat = {
   q_formula : string;
   mutable q_count : int;
   mutable q_errors : int;
-  mutable q_ewma_s : float;
+  q_ewma_s : ewma;
   q_window : float array; (* ring of recent latencies *)
   mutable q_next : int;
 }
 
 type atom_stat = {
   mutable a_count : int;
-  mutable a_ewma : float;
+  a_ewma : ewma;
   mutable a_candidates : int; (* cumulative candidates scanned *)
   mutable a_segments : int; (* cumulative level segments *)
 }
@@ -42,7 +48,7 @@ type backend_stat = { mutable b_count : int; mutable b_errors : int }
 
 (* per-(fingerprint, backend) latency EWMA: the planner's signal for
    choosing between backends on a formula it has seen before *)
-type lat_stat = { mutable l_count : int; mutable l_ewma_s : float }
+type lat_stat = { mutable l_count : int; l_ewma_s : ewma }
 
 type t = {
   mutex : Mutex.t;
@@ -75,6 +81,9 @@ let window t = t.window
 let ewma_step ~alpha ~count ~prev x =
   if count = 0 then x else (alpha *. x) +. ((1. -. alpha) *. prev)
 
+let fold_ewma t e ~count x =
+  e.ewma <- ewma_step ~alpha:t.alpha ~count ~prev:e.ewma x
+
 (* [formula] is a thunk so the pretty-printed text is only built the
    first time a fingerprint is seen, not on every request. *)
 let record_query t ~fingerprint ~formula ~backend ~latency_s ~error =
@@ -88,7 +97,7 @@ let record_query t ~fingerprint ~formula ~backend ~latency_s ~error =
                 q_formula = formula ();
                 q_count = 0;
                 q_errors = 0;
-                q_ewma_s = 0.;
+                q_ewma_s = { ewma = 0. };
                 q_window = Array.make t.window Float.nan;
                 q_next = 0;
               }
@@ -96,8 +105,7 @@ let record_query t ~fingerprint ~formula ~backend ~latency_s ~error =
             Hashtbl.add t.queries fingerprint q;
             q
       in
-      q.q_ewma_s <-
-        ewma_step ~alpha:t.alpha ~count:q.q_count ~prev:q.q_ewma_s latency_s;
+      fold_ewma t q.q_ewma_s ~count:q.q_count latency_s;
       q.q_count <- q.q_count + 1;
       if error then q.q_errors <- q.q_errors + 1;
       q.q_window.(q.q_next) <- latency_s;
@@ -116,12 +124,11 @@ let record_query t ~fingerprint ~formula ~backend ~latency_s ~error =
         match Hashtbl.find_opt t.latencies (fingerprint, backend) with
         | Some l -> l
         | None ->
-            let l = { l_count = 0; l_ewma_s = 0. } in
+            let l = { l_count = 0; l_ewma_s = { ewma = 0. } } in
             Hashtbl.add t.latencies (fingerprint, backend) l;
             l
       in
-      l.l_ewma_s <-
-        ewma_step ~alpha:t.alpha ~count:l.l_count ~prev:l.l_ewma_s latency_s;
+      fold_ewma t l.l_ewma_s ~count:l.l_count latency_s;
       l.l_count <- l.l_count + 1)
 
 let record_atom t ~atom ~level ~candidates ~segments =
@@ -134,12 +141,17 @@ let record_atom t ~atom ~level ~candidates ~segments =
           | Some a -> a
           | None ->
               let a =
-                { a_count = 0; a_ewma = 0.; a_candidates = 0; a_segments = 0 }
+                {
+                  a_count = 0;
+                  a_ewma = { ewma = 0. };
+                  a_candidates = 0;
+                  a_segments = 0;
+                }
               in
               Hashtbl.add t.atoms key a;
               a
         in
-        a.a_ewma <- ewma_step ~alpha:t.alpha ~count:a.a_count ~prev:a.a_ewma sel;
+        fold_ewma t a.a_ewma ~count:a.a_count sel;
         a.a_count <- a.a_count + 1;
         a.a_candidates <- a.a_candidates + candidates;
         a.a_segments <- a.a_segments + segments)
@@ -169,7 +181,7 @@ type atom_row = {
 
 type backend_row = { backend : string; requests : int; backend_errors : int }
 
-(* nearest-rank on a sorted copy, the bench/main.ml convention *)
+(* rank floor(n * p) of a sorted copy, clamped to the last sample *)
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.
@@ -186,7 +198,7 @@ let query_row ~fingerprint (q : query_stat) =
     formula = q.q_formula;
     count = q.q_count;
     errors = q.q_errors;
-    ewma_latency_s = q.q_ewma_s;
+    ewma_latency_s = q.q_ewma_s.ewma;
     p50_s = percentile samples 0.50;
     p95_s = percentile samples 0.95;
     p99_s = percentile samples 0.99;
@@ -209,7 +221,7 @@ let atoms t =
             atom;
             level;
             evals = a.a_count;
-            ewma_selectivity = a.a_ewma;
+            ewma_selectivity = a.a_ewma.ewma;
             candidates_total = a.a_candidates;
             segments_total = a.a_segments;
           }
@@ -231,19 +243,19 @@ let backends t =
 let ewma_latency_s t ~fingerprint =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.queries fingerprint with
-      | Some q when q.q_count > 0 -> Some q.q_ewma_s
+      | Some q when q.q_count > 0 -> Some q.q_ewma_s.ewma
       | _ -> None)
 
 let selectivity t ~level ~atom =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.atoms (level, atom) with
-      | Some a when a.a_count > 0 -> Some a.a_ewma
+      | Some a when a.a_count > 0 -> Some a.a_ewma.ewma
       | _ -> None)
 
 let backend_latency_s t ~fingerprint ~backend =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.latencies (fingerprint, backend) with
-      | Some l when l.l_count > 0 -> Some l.l_ewma_s
+      | Some l when l.l_count > 0 -> Some l.l_ewma_s.ewma
       | _ -> None)
 
 let error_rate t ~backend =

@@ -55,16 +55,43 @@ let max_sim t = t.max
 let rows t = t.rows
 let row_count t = t.count
 
-(* the row's cons cell (3 words) and record (4), and a cons cell and
-   pair (6) per binding *)
-let row_words r = 7 + (6 * (List.length r.objs + List.length r.attrs))
+(* Physical identity: a join hands one list, one binding pair or one
+   binding-list tail to several rows, and each is resident once. *)
+module Seen = Hashtbl.Make (struct
+  type t = Obj.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let first_sight seen v =
+  let o = Obj.repr v in
+  (not (Seen.mem seen o)) && (Seen.add seen o (); true)
+
+(* a cons cell and a pair (3 words each) per binding not seen yet; the
+   tail of a seen cell is seen too *)
+let rec binding_words seen = function
+  | [] -> 0
+  | (pair :: tl) as cell ->
+      if not (first_sight seen cell) then 0
+      else
+        3 + (if first_sight seen pair then 3 else 0) + binding_words seen tl
 
 (* the record (6 words) and its boxed maximum (2), and a cons cell (3)
-   per column, so a table with no rows still weighs something *)
+   per column, so a table with no rows still weighs something; per row
+   its cons cell and record (7).  Every row list's maximum is the
+   table's, and the lists an evaluation builds share one box of it: it
+   is counted once, with the table. *)
 let words t =
-  8
-  + (3 * (List.length t.obj_cols + List.length t.attr_cols))
-  + List.fold_left (fun n r -> n + row_words r + Sim_list.words r.list) 0 t.rows
+  let seen = Seen.create (4 * t.count) in
+  List.fold_left
+    (fun n r ->
+      n + 7
+      + binding_words seen r.objs
+      + binding_words seen r.attrs
+      + if first_sight seen r.list then Sim_list.words r.list - 2 else 0)
+    (8 + (3 * (List.length t.obj_cols + List.length t.attr_cols)))
+    t.rows
 
 (* Merge two sorted association lists; [combine] decides what happens when
    both bind a key ([None] aborts the whole unification). *)

@@ -43,11 +43,14 @@ val row_count : t -> int
 
 val words : t -> int
 (** Words the table keeps resident: 8 for the table record and its
-    boxed maximum, 3 per column; per row, its list's {!Sim_list.words}
-    ([3 * length + 8]), 7 for the row's cons cell and record and 6 per
-    binding (its cons cell and pair; the variable names and range
-    payloads are not counted).  Positive for every table, empty ones
-    included.  O(columns + rows + bindings). *)
+    boxed maximum, 3 per column; per row, 7 for the row's cons cell and
+    record; 3 per binding cons cell and 3 per binding pair (the variable
+    names and range payloads are not counted); per list, its
+    {!Sim_list.words} ([3 * length + 8]) less the 2 of its boxed
+    maximum, which is the table's and counted with it.  A list, pair or cell that
+    several rows share (join padding does) is counted once, so the sum
+    stays within what the table reaches.  Positive for every table,
+    empty ones included.  O(columns + rows + bindings) hash probes. *)
 
 val join :
   combine:(Sim_list.t -> Sim_list.t -> Sim_list.t) ->

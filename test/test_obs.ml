@@ -124,6 +124,27 @@ let metrics_tests =
         let m = Obs.Metrics.create () in
         check (option reject) "find" None (Obs.Metrics.find m "nope");
         check int "counter_value" 0 (Obs.Metrics.counter_value m "nope"));
+    test_case "observe into an existing histogram allocates nothing" `Quick
+      (fun () ->
+        (* every request observes several histograms; a float boxed per
+           observation into the long-lived histogram would be promoted *)
+        let m = Obs.Metrics.create () in
+        Obs.Metrics.declare_histogram m "h";
+        let values = List.init 1000 (fun i -> float_of_int i *. 1e-5) in
+        let observe_all () = List.iter (Obs.Metrics.observe m "h") values in
+        observe_all ();
+        let before = Gc.minor_words () in
+        for _ = 1 to 10 do
+          observe_all ()
+        done;
+        let per_call = (Gc.minor_words () -. before) /. 10_000. in
+        if per_call >= 1. then
+          failf "%.2f minor words per observe, want < 1" per_call;
+        match Obs.Metrics.find m "h" with
+        | Some (Obs.Metrics.Histogram h) ->
+            check int "count" 11_000 h.Obs.Metrics.count;
+            check (float 1e-9) "max" 9.99e-3 h.Obs.Metrics.max
+        | _ -> fail "histogram missing");
   ]
 
 (* --- Topk ------------------------------------------------------------------ *)
@@ -897,7 +918,8 @@ let traceid_tests =
 
 (* --- Stats ------------------------------------------------------------------- *)
 
-(* nearest-rank convention matching bench/main.ml's [percentile] *)
+(* the rank rule [Obs.Stats] reads its latency window with: floor(n * p),
+   clamped to the last sample *)
 let nearest_rank sorted p =
   let n = Array.length sorted in
   if n = 0 then Float.nan
