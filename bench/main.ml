@@ -974,26 +974,26 @@ let scan_measure store ~prune f =
   let scanned = scanned_total m - before in
   (r, measure_on ctx (fun ctx -> Engine.Query.run ctx f), scanned)
 
-(* [Retrieval.eval] (staged scorer, sparse bound rows) against its
-   oracle, every row built densely from [score_at]: the query, and its
-   body with the quantifiers stripped, whose table has bound rows *)
-let rec check_retrieval store f ~query =
-  let level = Video_model.Store.levels store in
+let same_table a b =
   let rows t =
     List.map
       (fun (r : Simlist.Sim_table.row) ->
         (r.objs, r.attrs, Sim_list.max_sim r.list, Sim_list.entries r.list))
       (Simlist.Sim_table.rows t)
   in
-  let same a b =
-    Simlist.Sim_table.obj_cols a = Simlist.Sim_table.obj_cols b
-    && Simlist.Sim_table.attr_cols a = Simlist.Sim_table.attr_cols b
-    && Simlist.Sim_table.max_sim a = Simlist.Sim_table.max_sim b
-    && rows a = rows b
-  in
+  Simlist.Sim_table.obj_cols a = Simlist.Sim_table.obj_cols b
+  && Simlist.Sim_table.attr_cols a = Simlist.Sim_table.attr_cols b
+  && Simlist.Sim_table.max_sim a = Simlist.Sim_table.max_sim b
+  && rows a = rows b
+
+(* [Retrieval.eval] (columnar scorer, sparse bound rows) against its
+   oracle, every row built densely from [score_at]: the query, and its
+   body with the quantifiers stripped, whose table has bound rows *)
+let rec check_retrieval store f ~query =
+  let level = Video_model.Store.levels store in
   if
     not
-      (same
+      (same_table
          (Picture.Retrieval.eval store ~level f)
          (Picture.Retrieval.eval_dense store ~level f))
   then failwith ("Retrieval.eval differs from its score_at oracle on " ^ query);
@@ -1042,6 +1042,33 @@ let prune_row store (name, query) =
   check_retrieval store f ~query;
   (name, query, r)
 
+(* Open formulas, the units of conjunctive queries: [Query.run] wants a
+   closed formula, so these time [Retrieval.eval] itself on a warm index
+   (its columns built), pruned and full.  The freeze row scores every
+   binding of x per own class of v at the segments holding x. *)
+let open_queries =
+  [ ("freeze", "present(x) and [w <- speed(x)] (w > 30 and speed(x) <= v)") ]
+
+let open_row store (name, query) =
+  let f = parse query in
+  let level = Video_model.Store.levels store in
+  let index = Picture.Index.build store ~level in
+  let scan ~prune =
+    let config = { Picture.Retrieval.default_config with prune } in
+    let eval ?metrics () =
+      Picture.Retrieval.eval ~config ?metrics ~index store ~level f
+    in
+    let m = Obs.Metrics.create () in
+    let table = eval ~metrics:m () in
+    (table, measure_on () eval, scanned_total m)
+  in
+  let t_pruned, pruned, pruned_scanned = scan ~prune:true in
+  let t_full, full, full_scanned = scan ~prune:false in
+  if not (same_table t_pruned t_full) then
+    failwith ("index pruning changes the table of " ^ query);
+  check_retrieval store f ~query;
+  (name, query, { pruned; full; pruned_scanned; full_scanned })
+
 (* selectivity sweep: a two-level store whose leaves all carry a "hot"
    attribute, "yes" on the requested fraction — the candidate set of
    [seg.hot = "yes"] is exactly the hot segments, so the pruned scan
@@ -1065,7 +1092,7 @@ let sweep_row selectivity =
       (parse "seg.hot = \"yes\"")
       ~what:"the selectivity sweep" )
 
-let index_json ~segments reg_rows prune_rows sweep_rows =
+let index_json ~segments reg_rows prune_rows open_rows sweep_rows =
   let reg r =
     Json.Obj
       [
@@ -1099,10 +1126,12 @@ let index_json ~segments reg_rows prune_rows sweep_rows =
             (registry hit), both cacheless, counters of one cold and one \
             warm evaluation; pruning: candidate scans vs full scans (prune \
             = false), scanned = picture.segments_scanned delta of one \
-            evaluation; selectivity: seg.hot = \"yes\" at varying hot \
-            fractions over a dedicated store" ) );
+            evaluation; open: Retrieval.eval of an open formula on a warm \
+            index, pruned vs full; selectivity: seg.hot = \"yes\" at \
+            varying hot fractions over a dedicated store" ) );
       ("registry", Json.Array (List.map reg reg_rows));
       ("pruning", Json.Array (List.map pr prune_rows));
+      ("open", Json.Array (List.map pr open_rows));
       ("selectivity", Json.Array (List.map sw sweep_rows));
     ]
 
@@ -1118,18 +1147,22 @@ let index_data () =
   Printf.printf "\nCandidate pruning vs full scans (same store)\n";
   let prune_rows = List.map (prune_row store) index_queries in
   print_scans "Query" (List.map (fun (name, _, r) -> (name, r)) prune_rows);
+  Printf.printf "\nOpen formulas: Retrieval.eval on a warm index\n";
+  let open_rows = List.map (open_row store) open_queries in
+  print_scans "Query" (List.map (fun (name, _, r) -> (name, r)) open_rows);
   Printf.printf "\nSelectivity sweep (%d segments, seg.hot = \"yes\")\n"
     sweep_segments;
   let sweep_rows = List.map sweep_row [ 0.01; 0.1; 0.5; 1.0 ] in
   print_scans "Selectivity"
     (List.map (fun (sel, r) -> (Printf.sprintf "%g" sel, r)) sweep_rows);
-  (segments, reg_rows, prune_rows, sweep_rows)
+  (segments, reg_rows, prune_rows, open_rows, sweep_rows)
 
 let bench_index () =
   header "Index - persistent metadata indexes and candidate pruning";
-  let segments, reg_rows, prune_rows, sweep_rows = index_data () in
+  let segments, reg_rows, prune_rows, open_rows, sweep_rows = index_data () in
   let path = Option.value ~default:"BENCH_index.json" !opt_json in
-  write_json path (index_json ~segments reg_rows prune_rows sweep_rows)
+  write_json path
+    (index_json ~segments reg_rows prune_rows open_rows sweep_rows)
 
 (* ---- cost-based planner: join order and backend choice --------------------------
 
@@ -1461,11 +1494,14 @@ let gates = function
   | "index" ->
       Some
         ( (fun () ->
-            let segments, reg_rows, prune_rows, sweep_rows = index_data () in
-            index_json ~segments reg_rows prune_rows sweep_rows),
+            let segments, reg_rows, prune_rows, open_rows, sweep_rows =
+              index_data ()
+            in
+            index_json ~segments reg_rows prune_rows open_rows sweep_rows),
           [
             ("registry", "registry", [ "name" ], [ "cold"; "warm" ]);
             ("pruning", "pruning", [ "name" ], [ "pruned"; "full" ]);
+            ("open", "open", [ "name" ], [ "pruned"; "full" ]);
             ( "selectivity",
               "selectivity",
               [ "selectivity" ],

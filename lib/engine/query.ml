@@ -224,7 +224,7 @@ let observed ~backend ?cache_probe (ctx : Context.t) f eval =
         in
         Obs.Querylog.record ql
           {
-            Obs.Querylog.time_s = t_start;
+            Obs.Querylog.time_s = Obs.Clock.wall t_start;
             formula_id = Htl.Hcons.intern_id f;
             formula = Htl.Pretty.to_string f;
             backend = backend_name backend;

@@ -1,16 +1,26 @@
-(* The observability clock.  OCaml's stdlib exposes no monotonic clock
-   without C stubs, so we take the best portable source available:
-   [Unix.gettimeofday], which on every platform we run on is driven by
-   the same timer the monotonic clock is and is good to the microsecond.
-   Spans measure elapsed wall time; a clock step during a query (NTP
-   slew) can skew a single span, which is acceptable for diagnostics and
-   avoids a C dependency.
+(* The observability clock: the monotonic clock
+   ([CLOCK_MONOTONIC] through [bechamel.monotonic_clock]'s stub) in
+   float seconds, so spans keep nanosecond steps and a clock step (NTP
+   slew) cannot skew them.  Its origin is arbitrary; [wall] maps a
+   reading to epoch seconds with the offset taken when the source was
+   installed, for the timestamps /slowlog and /trace report.
 
    The source lives behind a ref so the export golden tests and the
-   slow-query-log threshold tests can substitute a deterministic clock;
-   production code never touches it and pays one pointer read. *)
+   slow-query-log threshold tests can substitute a deterministic clock
+   (whose readings [wall] leaves as they are); production code never
+   touches it and pays one pointer read. *)
 
-let source = ref Unix.gettimeofday
+let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let epoch_offset () = Unix.gettimeofday () -. monotonic ()
+let source = ref monotonic
+let offset = ref (epoch_offset ())
 let now () = !source ()
-let set_source f = source := f
-let use_wall_clock () = source := Unix.gettimeofday
+let wall t = t +. !offset
+
+let set_source f =
+  source := f;
+  offset := 0.
+
+let use_monotonic_clock () =
+  source := monotonic;
+  offset := epoch_offset ()

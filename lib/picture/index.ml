@@ -47,9 +47,10 @@ type t = {
   objects : int list;
   types : string list;
   frozen : (string * bool, frozen_values) Hashtbl.t;
-      (* value tables by (attribute, of an object?), filled on demand and
-         guarded by [frozen_lock]; not part of the dump *)
-  frozen_lock : Mutex.t;
+      (* value tables by (attribute, of an object?), filled on demand *)
+  mutable columns : Columns.t option;
+      (* the columnar view, created on first demand *)
+  lock : Mutex.t;  (* guards [frozen] and [columns]; neither is dumped *)
 }
 
 (* Build-time accumulators: postings as reversed lists with head dedup
@@ -178,7 +179,8 @@ let build_over store ~level ~lo ~hi =
     objects;
     types;
     frozen = Hashtbl.create 4;
-    frozen_lock = Mutex.create ();
+    columns = None;
+    lock = Mutex.create ();
   }
 
 let build ?metrics store ~level =
@@ -254,7 +256,13 @@ let merge base delta =
     objects = List.sort_uniq compare (base.objects @ delta.objects);
     types = List.sort_uniq compare (base.types @ delta.types);
     frozen = Hashtbl.create 4;
-    frozen_lock = Mutex.create ();
+    (* the columns the base has built, extended over the appended ids as
+       the posting arrays are *)
+    columns =
+      Option.map
+        (fun c -> Columns.extend c ~segments:delta.segment_count)
+        (Mutex.protect base.lock (fun () -> base.columns));
+    lock = Mutex.create ();
   }
 
 let postings tbl key =
@@ -288,6 +296,15 @@ let objects_at_level t = t.objects
 let types_at_level t = t.types
 let level t = t.level
 let segment_count t = t.segment_count
+
+let columns t store =
+  Mutex.protect t.lock (fun () ->
+      match t.columns with
+      | Some c -> c
+      | None ->
+          let c = Columns.create store ~level:t.level ~segments:t.segment_count in
+          t.columns <- Some c;
+          c)
 
 (* --- frozen-attribute values ----------------------------------------------
 
@@ -337,7 +354,7 @@ let frozen_rows store ~level ~attr ~oid ids =
 
 let frozen_values t store ~attr ~objects =
   let key = (attr, objects) in
-  match Mutex.protect t.frozen_lock (fun () -> Hashtbl.find_opt t.frozen key) with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.frozen key) with
   | Some values -> values
   | None ->
       let level = t.level in
@@ -356,7 +373,7 @@ let frozen_values t store ~attr ~objects =
         | rows -> Ok rows
         | exception Not_frozen bad -> Error bad
       in
-      Mutex.protect t.frozen_lock (fun () -> Hashtbl.replace t.frozen key values);
+      Mutex.protect t.lock (fun () -> Hashtbl.replace t.frozen key values);
       values
 
 (* --- serialization-friendly view ----------------------------------------
@@ -429,7 +446,8 @@ let undump d =
     objects = d.d_objects;
     types = d.d_types;
     frozen = Hashtbl.create 4;
-    frozen_lock = Mutex.create ();
+    columns = None;
+    lock = Mutex.create ();
   }
 
 module Registry = struct

@@ -86,6 +86,21 @@ val types_at_level : t -> string list
 val level : t -> int
 val segment_count : t -> int
 
+(** {1 The columnar view}
+
+    The level's meta-data laid out for the compiled scorer of
+    {!Retrieval}: per-segment CSR rows of objects and relationships,
+    one cell column per attribute a formula has read, and every type,
+    relationship name and string value interned to an int (see
+    {!Columns}).  The view is created on first demand, each of its
+    parts built on first demand, over ids [1 .. segment_count] of
+    [store] — the store the index was built over.  It is not part of
+    {!dump}: a restored index starts without it, and snapshot bytes do
+    not depend on it.  {!merge} extends the parts the base had built
+    over the appended ids. *)
+
+val columns : t -> Video_model.Store.t -> Columns.t
+
 (** {1 Frozen-attribute values}
 
     The value table of a freeze quantifier (§3.3) over the level, kept

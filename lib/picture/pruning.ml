@@ -104,10 +104,21 @@ type plan =
   | Union of plan * plan
   | Inter of plan * plan
 
+(* plans whose segments all hold an object: object, type and
+   object-attribute postings are only ever made at segments with
+   objects *)
+let rec within_objects = function
+  | Empty | Objects | Type_compat _ | Obj_attr_def _ | Obj_attr_eq _ -> true
+  | Inter (a, b) -> within_objects a || within_objects b
+  | Union (a, b) -> within_objects a && within_objects b
+  | All | Rel _ | Seg_attr_def _ | Seg_attr_eq _ -> false
+
 let union_plan a b =
   match (a, b) with
   | All, _ | _, All -> All
   | Empty, p | p, Empty -> p
+  | Objects, p when within_objects p -> Objects
+  | p, Objects when within_objects p -> Objects
   | a, b -> Union (a, b)
 
 let inter_plan a b =

@@ -1,14 +1,17 @@
 let derived = [ "left_of"; "right_of"; "above"; "below"; "overlaps"; "inside" ]
 
-let derive name (a : Metadata.Bbox.t) (b : Metadata.Bbox.t) =
-  match name with
-  | "left_of" -> Metadata.Bbox.left_of a b
-  | "right_of" -> Metadata.Bbox.left_of b a
-  | "above" -> Metadata.Bbox.above a b
-  | "below" -> Metadata.Bbox.above b a
-  | "overlaps" -> Metadata.Bbox.overlaps a b
-  | "inside" -> Metadata.Bbox.inside a b
-  | _ -> false
+let derivation : string -> (Metadata.Bbox.t -> Metadata.Bbox.t -> bool) option =
+  function
+  | "left_of" -> Some Metadata.Bbox.left_of
+  | "right_of" -> Some (fun a b -> Metadata.Bbox.left_of b a)
+  | "above" -> Some Metadata.Bbox.above
+  | "below" -> Some (fun a b -> Metadata.Bbox.above b a)
+  | "overlaps" -> Some Metadata.Bbox.overlaps
+  | "inside" -> Some Metadata.Bbox.inside
+  | _ -> None
+
+let derive name a b =
+  match derivation name with Some holds -> holds a b | None -> false
 
 let holds meta name args =
   Metadata.Seg_meta.has_relationship meta name args

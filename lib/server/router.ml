@@ -634,7 +634,7 @@ let handle state req =
         Obs.Tracestore.add state.tracestore
           {
             Obs.Tracestore.trace_id;
-            time_s = t0;
+            time_s = Obs.Clock.wall t0;
             latency_s = latency;
             meth = req.Http.meth;
             target = req.Http.target;

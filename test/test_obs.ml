@@ -17,6 +17,29 @@ let parse = Htl.Parser.formula_of_string
 let trace_tests =
   let open Alcotest in
   [
+    test_case "the clock steps by less than a microsecond" `Quick (fun () ->
+        (* the smallest nonzero step between successive reads: a clock
+           good to the microsecond steps by about 1e-6 at least *)
+        let step = ref Float.infinity in
+        for _ = 1 to 1000 do
+          let t0 = Obs.Clock.now () in
+          let t1 = ref (Obs.Clock.now ()) in
+          while !t1 = t0 do
+            t1 := Obs.Clock.now ()
+          done;
+          step := Float.min !step (!t1 -. t0)
+        done;
+        check bool
+          (Printf.sprintf "smallest step %.3g s in (0, 5e-7)" !step)
+          true
+          (!step > 0. && !step < 5e-7));
+    test_case "wall maps a reading to the epoch" `Quick (fun () ->
+        let before = Unix.gettimeofday () in
+        let t = Obs.Clock.wall (Obs.Clock.now ()) in
+        let after = Unix.gettimeofday () in
+        (* the offset is read once, so allow for a slewed wall clock *)
+        check bool "between two wall readings" true
+          (t > before -. 1. && t < after +. 1.));
     test_case "spans nest and close" `Quick (fun () ->
         let tr = Obs.Trace.create () in
         let r =
@@ -571,7 +594,7 @@ let json_tests =
 
 (* A fake clock stepping 1 s per read makes every exported timestamp a
    round number, so the Chrome-trace and summarize tests are exact
-   goldens instead of tolerance games.  Restore the wall clock in a
+   goldens instead of tolerance games.  Restore the default clock in a
    [Fun.protect]: a leaked fake source would corrupt every later
    timing. *)
 let with_fake_clock f =
@@ -580,7 +603,7 @@ let with_fake_clock f =
       let v = !t in
       t := v +. 1.;
       v);
-  Fun.protect ~finally:Obs.Clock.use_wall_clock f
+  Fun.protect ~finally:Obs.Clock.use_monotonic_clock f
 
 let export_tests =
   let open Alcotest in

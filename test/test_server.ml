@@ -563,7 +563,7 @@ let exposition_tests =
     test_case "every server.* series is visible before any traffic" `Quick
       (fun () ->
         Obs.Clock.set_source (fun () -> 1000.);
-        Fun.protect ~finally:Obs.Clock.use_wall_clock (fun () ->
+        Fun.protect ~finally:Obs.Clock.use_monotonic_clock (fun () ->
             let s = fresh_state () in
             let exposition = Obs.Export.prometheus (Router.metrics s) in
             List.iter
@@ -647,7 +647,7 @@ let tracing_tests =
     test_case "/trace stamps requests with the observability clock" `Quick
       (fun () ->
         Obs.Clock.set_source (fun () -> 1234.5);
-        Fun.protect ~finally:Obs.Clock.use_wall_clock (fun () ->
+        Fun.protect ~finally:Obs.Clock.use_monotonic_clock (fun () ->
             let s =
               Router.make ~trace_sample:1 (Workload.Casablanca.context ())
             in

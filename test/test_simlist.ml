@@ -384,6 +384,36 @@ let until_tests =
 
 (* --- Sim_list: merge_max and restrict ---------------------------------- *)
 
+(* k lists of entries drawn from three values, so ties and equal values
+   that abut across lists are common, some lists empty.  A dense draw
+   packs its entries into ~50 ids, where [merge_max] takes its dense
+   pass; a sparse one spreads a few entries over ~100k ids, where it
+   sweeps. *)
+let arb_max_lists =
+  let open QCheck.Gen in
+  let list ~gap =
+    map
+      (fun pieces ->
+        let _, entries =
+          List.fold_left
+            (fun (pos, acc) (skip, len, v) ->
+              let lo = pos + skip in
+              (lo + len, (iv lo (lo + len - 1), v) :: acc))
+            (1, []) pieces
+        in
+        Sim_list.of_entries ~max:3. (List.rev entries))
+      (list_size (int_range 0 6)
+         (triple (int_range 0 gap) (int_range 1 4) (oneofl [ 1.; 2.; 3. ])))
+  in
+  let lists =
+    oneof [ return 5; return 20_000 ] >>= fun gap ->
+    list_size (int_range 1 6) (list ~gap)
+  in
+  QCheck.make
+    ~print:(fun ls ->
+      String.concat " | " (List.map (Format.asprintf "%a" Sim_list.pp) ls))
+    lists
+
 let merge_tests =
   let open Alcotest in
   [
@@ -413,6 +443,12 @@ let merge_tests =
         Sim_list.equal (Sim_list.merge_max lists)
           (Sim_list.merge_max_pairwise lists))
       (arb_two_dense_with_extents ());
+    qtest "merge_max equals pairwise merges on ties, empties and sparse spans"
+      ~count:500
+      (fun lists ->
+        Sim_list.equal (Sim_list.merge_max lists)
+          (Sim_list.merge_max_pairwise lists))
+      arb_max_lists;
     qtest "merge_max matches dense reference" ~count:200
       (fun (n, _extents, a, b) ->
         let m =
