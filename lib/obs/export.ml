@@ -73,10 +73,10 @@ let span_json ?trace_id (s : Trace.span) =
         ("id", Json.Int s.Trace.id);
         ("parent", Json.Int s.Trace.parent);
         ("name", Json.String s.Trace.name);
-        ("start_s", Json.Float s.Trace.start_s);
+        ("start_s", Json.Float (Clock.wall s.Trace.start_s));
         ( "stop_s",
           match Trace.duration_s s with
-          | Some _ -> Json.Float s.Trace.stop_s
+          | Some _ -> Json.Float (Clock.wall s.Trace.stop_s)
           | None -> Json.Null );
         ("attrs", attrs_json s.Trace.attrs);
       ])

@@ -16,7 +16,9 @@ val prometheus : Metrics.t -> string
 val span_json : ?trace_id:string -> Trace.span -> Json.t
 (** One span as JSON: [id], [parent], [name], [start_s], [stop_s]
     ([null] while open) and [attrs] (insertion order, duplicates
-    preserved), led by a [trace_id] field when one is given. *)
+    preserved), led by a [trace_id] field when one is given.  The times
+    are {!Clock.wall} timestamps, seconds since the epoch, the time base
+    of the query log and the trace store. *)
 
 val spans_jsonl : Trace.t -> string
 (** Every recorded span as one compact JSON object per line, in start

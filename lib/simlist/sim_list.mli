@@ -134,12 +134,15 @@ val eventually : extents:Extent.t -> t -> t
 
 val merge_max : t list -> t
 (** Pointwise maximum of m lists sharing one [max] — the final step of
-    the type (2) algorithm (m-way merge).  Divide-and-conquer,
-    O(l log m) where l is the total entry count.
+    the type (2) algorithm (m-way merge).  One pass: a dense pass over
+    the lists' span when that span is within a small multiple of their
+    l entries, else a sweep over entry boundaries in O(l log m).
     @raise Invalid_argument on the empty list or differing maxima. *)
 
 val merge_max_pairwise : t list -> t
-(** Same result via an O(l·m) left fold — kept for the ablation bench. *)
+(** Same result via an O(l·m) left fold of two-list maxima — the
+    oracle {!merge_max} is tested against and the ablation bench's
+    baseline. *)
 
 val restrict : t -> Interval.t list -> t
 (** Keep only ids inside the given sorted disjoint intervals (used by the
