@@ -522,8 +522,10 @@ let serve_term =
       value & opt float 30000.
       & info [ "timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Per-request deadline for /query and /batch; past it the \
-             client gets 503 (0 rejects every query — for tests).")
+            "Per-request deadline on /query and /batch evaluation, \
+             counted from the request's read; past it the evaluation \
+             stops at its next node and the client gets 503 (0 answers \
+             every query 503).")
   in
   let io_timeout_ms =
     Arg.(

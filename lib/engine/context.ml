@@ -24,6 +24,7 @@ type t = {
   querylog : Obs.Querylog.t option;
   stats : Obs.Stats.t option;
   trace_id : string option;
+  deadline : float;
   registry : Picture.Index.Registry.t;
   planner : bool;
   plan : Planner.t option;
@@ -70,6 +71,7 @@ let of_store ?(config = Picture.Retrieval.default_config) ?(threshold = 0.5)
     querylog;
     stats;
     trace_id = None;
+    deadline = Float.infinity;
     registry = Picture.Index.Registry.create ();
     planner;
     plan = None;
@@ -99,6 +101,7 @@ let of_tables ?(threshold = 0.5) ?(conj_mode = Simlist.Sim_list.Weighted_sum)
     querylog;
     stats;
     trace_id = None;
+    deadline = Float.infinity;
     registry = Picture.Index.Registry.create ();
     planner;
     plan = None;
@@ -255,10 +258,18 @@ let with_stats t stats = { t with stats = Some stats }
 let without_stats t = { t with stats = None }
 let with_trace_id t trace_id = { t with trace_id = Some trace_id }
 
+exception Deadline_exceeded
+
+let with_deadline t deadline = { t with deadline }
+
 (* The nil-tracer zero-cost path: without a tracer every instrumentation
    site is this single match falling straight through to the work, and
-   [attrs] (a thunk) is never forced.  Same shape for metrics. *)
+   [attrs] (a thunk) is never forced.  Same shape for metrics.  The
+   deadline check reads the clock only when a deadline is set, so a
+   context outside the server pays one float compare. *)
 let with_span t ?attrs name f =
+  if t.deadline < Float.infinity && Obs.Clock.now () >= t.deadline then
+    raise Deadline_exceeded;
   match t.tracer with
   | None -> f ()
   | Some tr ->

@@ -250,7 +250,11 @@ let observed ~backend ?cache_probe (ctx : Context.t) f eval =
   | exception e ->
       finish
         ~error:
-          (Some (match e with Error msg -> msg | e -> Printexc.to_string e));
+          (Some
+             (match e with
+             | Error msg -> msg
+             | Context.Deadline_exceeded -> "deadline exceeded"
+             | e -> Printexc.to_string e));
       raise e
 
 let envelope ~backend ?cache_probe (ctx : Context.t) f eval =

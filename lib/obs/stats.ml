@@ -4,7 +4,8 @@
 
    - per formula fingerprint: request count, error count, an EWMA of
      latency, and a small ring of recent latencies from which quantiles
-     are computed at read time;
+     are computed at read time — latencies of successful requests
+     only;
    - per atomic formula and level: observed pruning selectivity
      (index candidates / level segments) as an EWMA plus cumulative
      sums — the index-vs-scan signal;
@@ -105,11 +106,15 @@ let record_query t ~fingerprint ~formula ~backend ~latency_s ~error =
             Hashtbl.add t.queries fingerprint q;
             q
       in
-      fold_ewma t q.q_ewma_s ~count:q.q_count latency_s;
+      (* a failed query's latency says when it failed (at a deadline,
+         say), not how fast its backend is: errors count, nothing more *)
+      if not error then begin
+        fold_ewma t q.q_ewma_s ~count:(q.q_count - q.q_errors) latency_s;
+        q.q_window.(q.q_next) <- latency_s;
+        q.q_next <- (q.q_next + 1) mod t.window
+      end;
       q.q_count <- q.q_count + 1;
       if error then q.q_errors <- q.q_errors + 1;
-      q.q_window.(q.q_next) <- latency_s;
-      q.q_next <- (q.q_next + 1) mod t.window;
       let b =
         match Hashtbl.find_opt t.backends backend with
         | Some b -> b
@@ -119,17 +124,18 @@ let record_query t ~fingerprint ~formula ~backend ~latency_s ~error =
             b
       in
       b.b_count <- b.b_count + 1;
-      if error then b.b_errors <- b.b_errors + 1;
-      let l =
-        match Hashtbl.find_opt t.latencies (fingerprint, backend) with
-        | Some l -> l
-        | None ->
-            let l = { l_count = 0; l_ewma_s = { ewma = 0. } } in
-            Hashtbl.add t.latencies (fingerprint, backend) l;
-            l
-      in
-      fold_ewma t l.l_ewma_s ~count:l.l_count latency_s;
-      l.l_count <- l.l_count + 1)
+      if error then b.b_errors <- b.b_errors + 1
+      else
+        let l =
+          match Hashtbl.find_opt t.latencies (fingerprint, backend) with
+          | Some l -> l
+          | None ->
+              let l = { l_count = 0; l_ewma_s = { ewma = 0. } } in
+              Hashtbl.add t.latencies (fingerprint, backend) l;
+              l
+        in
+        fold_ewma t l.l_ewma_s ~count:l.l_count latency_s;
+        l.l_count <- l.l_count + 1)
 
 let record_atom t ~atom ~level ~candidates ~segments =
   if segments > 0 then
@@ -243,7 +249,7 @@ let backends t =
 let ewma_latency_s t ~fingerprint =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.queries fingerprint with
-      | Some q when q.q_count > 0 -> Some q.q_ewma_s.ewma
+      | Some q when q.q_count > q.q_errors -> Some q.q_ewma_s.ewma
       | _ -> None)
 
 let selectivity t ~level ~atom =

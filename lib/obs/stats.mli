@@ -38,7 +38,10 @@ val record_query :
   unit
 (** Fold one request into the per-fingerprint and per-backend
     aggregates.  [formula] is a thunk, forced only the first time the
-    fingerprint is seen. *)
+    fingerprint is seen.  An [error] request counts in the request and
+    error counts only: its latency (when it failed, e.g. at a deadline)
+    enters no latency EWMA or window, so the planner's backend signal
+    ({!backend_latency_s}) measures successful evaluations. *)
 
 val record_atom :
   t -> atom:string -> level:int -> candidates:int -> segments:int -> unit

@@ -486,11 +486,6 @@ let run_trace_get state id =
 
 (* --- dispatch --------------------------------------------------------------- *)
 
-let heavy req =
-  req.Http.meth = "POST"
-  && (req.Http.target = "/query" || req.Http.target = "/batch"
-     || req.Http.target = "/ingest")
-
 let trace_target target =
   (* "/trace/<id>" → Some "<id>"; "/trace" and "/trace/" → None *)
   let prefix = "/trace/" in
@@ -569,17 +564,20 @@ let request_trace_id req =
   match provided with Some id -> id | None -> Obs.Traceid.generate ()
 
 (* A request-scoped view of the state: same warm caches, registries and
-   rings, but every shard context stamps [trace_id] and — when the
-   request is traced — emits into a tracer that no concurrent request
-   shares, so span nesting stays coherent even though all worker threads
-   live on one domain. *)
-let state_for_request state ~trace_id tracer =
-  { state with sharded = Sharded.for_request ?tracer ~trace_id state.sharded }
+   rings, but every shard context stamps [trace_id] and the deadline,
+   and — when the request is traced — emits into a tracer that no
+   concurrent request shares, so span nesting stays coherent even though
+   all worker threads live on one domain. *)
+let state_for_request state ~trace_id ?deadline tracer =
+  {
+    state with
+    sharded = Sharded.for_request ?tracer ~trace_id ?deadline state.sharded;
+  }
 
 let set_active state n =
   Obs.Metrics.set_gauge state.metrics "server.active_requests" (float_of_int n)
 
-let handle state req =
+let handle ?deadline state req =
   let t0 = Obs.Clock.now () in
   Obs.Metrics.incr state.metrics "server.requests";
   set_active state (Atomic.fetch_and_add state.active 1 + 1);
@@ -594,7 +592,7 @@ let handle state req =
       Some (Obs.Trace.create ~trace_id ())
     else None
   in
-  let rstate = state_for_request state ~trace_id tracer in
+  let rstate = state_for_request state ~trace_id ?deadline tracer in
   let run () =
     match tracer with
     | None -> route rstate req
@@ -611,6 +609,9 @@ let handle state req =
   let resp =
     match run () with
     | resp -> resp
+    | exception Engine.Context.Deadline_exceeded ->
+        Obs.Metrics.incr state.metrics "server.timeouts";
+        error_response ~status:503 "query timed out"
     | exception e ->
         (* a crash must answer (and be visible in metrics), not tear
            down the worker *)

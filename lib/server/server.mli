@@ -13,14 +13,16 @@
       connections may wait for a worker; beyond that the accept loop
       answers [429 Too Many Requests] with [Retry-After: 1] and closes
       ([server.rejected]);
-    - {b per-request deadline} — query routes ({!Router.heavy}) run in
-      an evaluation thread with [request_timeout_s] to finish; past the
-      deadline the client gets [503] and the connection closes, while
-      the evaluation finishes harmlessly on its thread (every shared
-      structure is thread-safe, so an abandoned query cannot poison the
-      context).  [request_timeout_s <= 0] means the deadline has already
-      passed — every heavy request answers [503] — which gives tests a
-      deterministic timeout;
+    - {b per-request deadline} — each request carries a deadline of
+      its read time plus [request_timeout_s] into its evaluation
+      ({!Router.handle}); the worker that read the request evaluates
+      it, and the evaluators check the deadline at every node, so past
+      it the evaluation stops and the client gets [503].  A request
+      overruns its deadline by at most one step between checks (one
+      atom's picture scan, one SQL statement, one list kernel or the
+      shard gather).  The server starts no thread per request;
+      [/ingest] has no check, so an append that ran is always
+      answered;
     - {b io timeouts} — reads and writes carry [io_timeout_s] (socket
       timeouts); an idle keep-alive connection is closed quietly, a
       stall mid-request answers [408];
@@ -40,8 +42,9 @@ type config = {
       (** accepted connections allowed to wait for a worker (default 64);
           beyond it: 429 *)
   request_timeout_s : float;
-      (** deadline for {!Router.heavy} routes (default 30.); [<= 0]
-          rejects every heavy request with 503 *)
+      (** how long [/query] and [/batch] evaluation may run past the
+          request's read (default 30.); [<= 0] answers every query with
+          503 at its first check *)
   io_timeout_s : float;
       (** socket read/write timeout and keep-alive idle limit
           (default 10.) *)

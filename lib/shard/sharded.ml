@@ -131,18 +131,24 @@ let with_level t ~level =
 (* A request-scoped view: the same shard stores, registries and caches
    (Context.with_tracer/with_trace_id are record updates, so all warm
    state is shared), but every shard context emits into the request's
-   own tracer and stamps its trace id.  The handle itself is immutable —
-   concurrent requests each derive their own view and never see each
-   other's spans, which is what lets the service trace live traffic
-   without poisoning the shared warm context (DESIGN.md §2.20). *)
-let for_request ?tracer ?trace_id t =
-  match (tracer, trace_id) with
-  | None, None -> t
+   own tracer and stamps its trace id and deadline.  The handle itself
+   is immutable — concurrent requests each derive their own view and
+   never see each other's spans, which is what lets the service trace
+   live traffic without poisoning the shared warm context (DESIGN.md
+   §2.20). *)
+let for_request ?tracer ?trace_id ?deadline t =
+  match (tracer, trace_id, deadline) with
+  | None, None, None -> t
   | _ ->
       let derive ctx =
         let ctx =
           match trace_id with
           | Some id -> Context.with_trace_id ctx id
+          | None -> ctx
+        in
+        let ctx =
+          match deadline with
+          | Some d -> Context.with_deadline ctx d
           | None -> ctx
         in
         match tracer with

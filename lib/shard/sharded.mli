@@ -97,12 +97,15 @@ val with_level : t -> level:int -> t
     ["\"level\" requires a store-backed dataset"] on a store-less
     handle. *)
 
-val for_request : ?tracer:Obs.Trace.t -> ?trace_id:string -> t -> t
+val for_request :
+  ?tracer:Obs.Trace.t -> ?trace_id:string -> ?deadline:float -> t -> t
 (** A request-scoped view of the same handle: every shard context emits
-    into [tracer] and stamps [trace_id] (per-shard ["shard.scatter"]
-    spans, trace ids on the coordinator's query-log records), while all
+    into [tracer], stamps [trace_id] (per-shard ["shard.scatter"]
+    spans, trace ids on the coordinator's query-log records) and
+    carries [deadline] ({!Engine.Context.with_deadline}: past it,
+    evaluation raises {!Engine.Context.Deadline_exceeded}), while all
     warm state — stores, caches, index registries, offsets — stays
-    shared with the original.  With neither argument this is the
+    shared with the original.  With no argument this is the
     identity.  Concurrent requests derive independent views, so one
     request's spans never interleave with another's. *)
 

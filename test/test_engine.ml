@@ -274,6 +274,29 @@ let direct_tests =
         check (pair (list string) string) "no prefix"
           ([], show "p1 and eventually p2")
           (split "p1 and eventually p2"));
+    test_case "a passed deadline stops at the first node, the cache intact"
+      `Quick (fun () ->
+        let ctx = Context.of_store (Workload.Casablanca.store ()) in
+        let f = parse Workload.Casablanca.store_query1 in
+        let tr = Obs.Trace.create () in
+        let late =
+          Context.with_tracer (Context.with_deadline ctx (Obs.Clock.now ())) tr
+        in
+        (match Query.run late f with
+        | _ -> fail "evaluated past its deadline"
+        | exception Context.Deadline_exceeded -> ());
+        check int "no span opened" 0 (List.length (Obs.Trace.spans tr));
+        check (option int) "nothing cached" (Some 0)
+          (Option.map (fun s -> s.Cache.entries) (Context.cache_stats ctx));
+        (* the same cache, no deadline: the whole answer, as the oracle *)
+        let r = Query.run ctx f in
+        Array.iteri
+          (fun i s ->
+            check (float 1e-9)
+              (Printf.sprintf "segment %d" (i + 1))
+              (Simlist.Sim.actual s)
+              (Sim_list.value_at r (i + 1)))
+          (Reference.similarity_over_level ctx f));
   ]
 
 (* --- SQL backend ----------------------------------------------------------- *)

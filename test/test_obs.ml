@@ -1029,6 +1029,33 @@ let stats_tests =
           (Obs.Stats.error_rate st ~backend:"direct");
         Obs.Stats.clear st;
         check int "clear empties" 0 (List.length (Obs.Stats.queries st)));
+    test_case "an errored record leaves the latency aggregates unchanged"
+      `Quick (fun () ->
+        let st = Obs.Stats.create () in
+        let backend_lat () =
+          Obs.Stats.backend_latency_s st ~fingerprint:1 ~backend:"direct"
+        in
+        (* a query failing at a 30 s deadline says nothing of its speed *)
+        record st ~error:true 30.;
+        check (option (float 0.)) "no sample from an error" None
+          (backend_lat ());
+        check (option (float 0.)) "no fingerprint EWMA either" None
+          (Obs.Stats.ewma_latency_s st ~fingerprint:1);
+        record st 0.01;
+        let before = backend_lat () in
+        record st ~error:true 30.;
+        check (option (float 0.)) "backend EWMA unchanged" before
+          (backend_lat ());
+        check (option (float 0.)) "fingerprint EWMA seeded by the success"
+          (Some 0.01)
+          (Obs.Stats.ewma_latency_s st ~fingerprint:1);
+        match Obs.Stats.queries st with
+        | [ row ] ->
+            check int "every request counted" 3 row.Obs.Stats.count;
+            check int "errors counted" 2 row.Obs.Stats.errors;
+            check int "only the success is in the window" 1
+              row.Obs.Stats.window_n
+        | rows -> failf "expected 1 query row, got %d" (List.length rows));
     test_case "the formula thunk is forced once per fingerprint" `Quick
       (fun () ->
         let st = Obs.Stats.create () in
