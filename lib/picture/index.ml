@@ -266,7 +266,7 @@ let merge base delta =
   }
 
 let postings tbl key =
-  Option.value ~default:[||] (Hashtbl.find_opt tbl key)
+  match Hashtbl.find tbl key with p -> p | exception Not_found -> [||]
 
 let segments_of_object t oid = postings t.by_object oid
 let segments_of_type t name = postings t.by_type name

@@ -53,6 +53,15 @@ let is_subtype t ~sub ~super =
   String.equal sub super
   || (mem t sub && List.exists (fun (a, _) -> String.equal a super) (ancestors t sub))
 
+(* the root of [name]'s tree; [Smap.find] returns the stored option, so
+   the walk allocates nothing *)
+let rec root t name =
+  match Smap.find name t.parent with Some p -> root t p | None -> name
+
+let compatible t ~asked ~found =
+  String.equal asked found
+  || (mem t asked && mem t found && String.equal (root t asked) (root t found))
+
 let similarity t ~asked ~found =
   if String.equal asked found then 1.
   else if not (mem t asked && mem t found) then 0.

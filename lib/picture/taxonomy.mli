@@ -36,3 +36,8 @@ val similarity : t -> asked:string -> found:string -> float
     person); otherwise [2^-(da + df)] where [da]/[df] are the distances
     from asked/found up to their lowest common ancestor; [0] when they
     share none.  Types absent from the taxonomy only match themselves. *)
+
+val compatible : t -> asked:string -> found:string -> bool
+(** [similarity t ~asked ~found > 0.]: equal names, or two members of the
+    same tree (which share its root as an ancestor).  Allocates nothing,
+    so a scan over every type at a level stays free of garbage. *)

@@ -47,6 +47,26 @@ let taxonomy_tests =
            ignore (Taxonomy.add t ~parent:"ghost" "spirit");
            fail "expected Invalid_argument"
          with Invalid_argument _ -> ()));
+    test_case "compatible is exactly a positive similarity" `Quick (fun () ->
+        (* two trees, so some pairs of members share no ancestor *)
+        let forest =
+          Taxonomy.of_edges
+            [
+              (None, "thing"); (Some "thing", "person"); (Some "person", "man");
+              (Some "thing", "car"); (None, "place"); (Some "place", "city");
+            ]
+        in
+        let names = [ "thing"; "person"; "man"; "car"; "place"; "city"; "alien" ] in
+        List.iter
+          (fun asked ->
+            List.iter
+              (fun found ->
+                check bool
+                  (Printf.sprintf "%s/%s" asked found)
+                  (Taxonomy.similarity forest ~asked ~found > 0.)
+                  (Taxonomy.compatible forest ~asked ~found))
+              names)
+          names);
   ]
 
 let spatial_tests =
