@@ -53,14 +53,23 @@ type timing = { median_s : float; q1_s : float; q3_s : float; words : float }
 let samples = 7
 let min_sample_ns = 1_000_000.
 
+(* A block over 256 words goes straight to the major heap, and the GC
+   counts it in [major_words] only at a major slice: a sample taken on an
+   unsettled heap misses such words or holds earlier ones.  Each sample
+   settles the heap first, outside the timed window. *)
+let settled_sample () =
+  Gc.full_major ();
+  Gc.minor ();
+  Obs.Resource.sample ()
+
 let measure ?(samples = samples) ~fresh op =
   let batch n =
     let states = Array.init n (fun _ -> fresh ()) in
-    let before = Obs.Resource.sample () in
+    let before = settled_sample () in
     let t0 = Monotonic_clock.now () in
     Array.iter (fun s -> ignore (Sys.opaque_identity (op s))) states;
     let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
-    let d = Obs.Resource.delta ~before ~after:(Obs.Resource.sample ()) in
+    let d = Obs.Resource.delta ~before ~after:(settled_sample ()) in
     (ns, Obs.Resource.allocated_words d)
   in
   (* grow the batch until it spans 1 ms; that batch is the first sample *)

@@ -284,9 +284,6 @@ let add_attr t key value =
 let metric_incr t ?by name =
   match t.metrics with None -> () | Some m -> Obs.Metrics.incr m ?by name
 
-let metric_observe t name v =
-  match t.metrics with None -> () | Some m -> Obs.Metrics.observe m name v
-
 (* --- result caching ------------------------------------------------------ *)
 
 type stamp = (Cache.key * int) option

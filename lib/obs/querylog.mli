@@ -4,8 +4,8 @@
     {!Engine.Query.run} feeds it when the context carries one
     ({!Engine.Context.with_querylog}): per query, the hash-consed
     formula fingerprint, backend, formula class, latency, cache
-    hit/miss deltas, per-level [picture.segments_scanned.*] deltas
-    (when the context also carries metrics) and the GC allocation delta
+    hits and misses, per-level [picture.segments_scanned.*] counts
+    and the GC allocation delta
     — everything needed to triage a slow query after the fact.  New
     records overwrite the oldest once the ring is full, so the log
     cannot grow without bound. *)
@@ -20,7 +20,7 @@ type record = {
   cache_hits : int;  (** cache probes this query, not cumulative *)
   cache_misses : int;
   segments_scanned : (string * int) list;
-      (** per-level scan counter deltas, e.g.
+      (** this query's per-level scan counts, e.g.
           [("picture.segments_scanned.l2", 180)] *)
   resources : Resource.delta;
   shards : (int * float) list;
@@ -46,7 +46,7 @@ val capacity : t -> int
 
 val should_log : t -> latency_s:float -> bool
 (** The gate, exposed so callers can skip building a record (formula
-    pretty-printing, stat snapshots) for fast queries. *)
+    pretty-printing, listing the query's counters) for fast queries. *)
 
 val record : t -> record -> unit
 (** Append when [r.latency_s] crosses the threshold; drop otherwise. *)

@@ -392,6 +392,27 @@ let unit_tests =
                 check bool "latency non-negative" true (s >= 0.))
               r.Obs.Querylog.shards
         | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs));
+    test_case "slow log counts every shard's scans" `Quick (fun () ->
+        (* without candidate pruning, whose full-scan fallback each
+           shard decides on its own share, every atom scans each shard
+           whole, so the shards' counts add up to the unsharded ones *)
+        let store = store_of_seed ~videos:12 43 in
+        let config = { Picture.Retrieval.default_config with prune = false } in
+        let scans shards f =
+          let ql = Obs.Querylog.create ~threshold_s:0. () in
+          let sh = Sharded.create ~shards ~config ~querylog:ql store in
+          check int "shards" shards (Sharded.shard_count sh);
+          ignore (Sharded.run sh (parse f));
+          match Obs.Querylog.records ql with
+          | [ r ] -> r.Obs.Querylog.segments_scanned
+          | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs)
+        in
+        List.iter
+          (fun f ->
+            let whole = scans 1 f in
+            check bool "scans recorded" true (whole <> []);
+            check (list (pair string int)) f whole (scans 2 f))
+          [ q_train; "(exists x . present(x)) until seg.mood = \"tense\"" ]);
     test_case "explain renders per-shard rows and timings" `Quick (fun () ->
         let store = store_of_seed 41 in
         let sh = Sharded.create ~shards:3 store in
